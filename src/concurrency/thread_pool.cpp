@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
@@ -85,41 +86,49 @@ void ThreadPool::parallel_for_chunks(i64 begin, i64 end,
   }
 
   // The submitting thread steals chunks too, so progress is guaranteed even
-  // if all workers are busy with unrelated tasks.
-  auto next = std::make_shared<std::atomic<i64>>(0);
-  auto remaining = std::make_shared<std::atomic<i64>>(chunks);
-  Mutex done_mutex;
-  std::condition_variable_any done_cv;
+  // if all workers are busy with unrelated tasks. Everything a helper
+  // touches after its last chunk lives in this shared state, never on the
+  // caller's stack: the caller may see remaining == 0 and return while the
+  // helper that finished last is still about to notify, and helpers still
+  // queued after the return find no chunk left.
+  struct Chunks {
+    std::atomic<i64> next{0};
+    std::atomic<i64> remaining;
+    Mutex done_mutex;
+    std::condition_variable_any done_cv;
+  };
+  auto state = std::make_shared<Chunks>();
+  state->remaining.store(chunks, std::memory_order_relaxed);
 
-  auto run_chunks = [=, &fn]() {
+  auto run_chunks = [state, begin, end, grain, chunks, &fn]() {
     while (true) {
-      const i64 c = next->fetch_add(1, std::memory_order_relaxed);
+      const i64 c = state->next.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) return false;
       const i64 lo = begin + c * grain;
       const i64 hi = std::min(end, lo + grain);
       fn(lo, hi);
-      if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) return true;
+      if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        return true;
+      }
     }
   };
 
   const i64 helpers =
       std::min<i64>(static_cast<i64>(thread_count()), chunks - 1);
   for (i64 i = 0; i < helpers; ++i) {
-    const bool accepted = queue_.try_push([run_chunks, &done_mutex, &done_cv] {
+    const bool accepted = queue_.try_push([state, run_chunks] {
       if (run_chunks()) {
-        MutexLock lock(done_mutex);
-        done_cv.notify_all();
+        MutexLock lock(state->done_mutex);
+        state->done_cv.notify_all();
       }
     });
     if (accepted) note_submitted();
   }
-  if (run_chunks()) {
-    done_cv.notify_all();
-  }
+  run_chunks();
 
-  UniqueLock lock(done_mutex);
-  while (remaining->load(std::memory_order_acquire) != 0) {
-    done_cv.wait(lock);
+  UniqueLock lock(state->done_mutex);
+  while (state->remaining.load(std::memory_order_acquire) != 0) {
+    state->done_cv.wait(lock);
   }
 }
 

@@ -1,14 +1,11 @@
 #include "persist/journal.hpp"
 
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
 #include <utility>
 
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/crc32.hpp"
+#include "util/fileio.hpp"
 
 namespace vgbl {
 namespace {
@@ -32,9 +29,8 @@ struct JournalMetrics {
   }
 };
 
-Error file_error(const std::string& what, const std::string& path) {
-  return io_error(what + " '" + path + "': " + std::strerror(errno));
-}
+constexpr RecordFormat kJournalFormat{kJournalMagic, kJournalVersion,
+                                      "VGSJ journal"};
 
 void write_step_payload(ByteWriter& w, const ScriptStep& s) {
   w.put_u8(static_cast<u8>(s.op));
@@ -80,13 +76,51 @@ void write_step_payload(ByteWriter& w, const ScriptStep& s) {
   return s;
 }
 
-Bytes journal_header() {
-  ByteWriter w;
-  w.put_u32(kJournalMagic);
-  w.put_u16(kJournalVersion);
-  w.put_u16(0);  // reserved
-  w.put_u32(crc32(w.bytes()));
-  return std::move(w).take();
+[[nodiscard]] Result<JournalRecord> decode_record(const LogRecord& log_record) {
+  JournalRecord record;
+  if (log_record.kind == static_cast<u8>(JournalRecord::Kind::kStep)) {
+    auto step = read_step_payload(log_record.payload);
+    if (!step.ok()) {
+      return corrupt_data("journal step record at byte " +
+                          std::to_string(log_record.offset) + ": " +
+                          step.error().message);
+    }
+    record.step = std::move(step).value();
+  } else if (log_record.kind ==
+             static_cast<u8>(JournalRecord::Kind::kBarrier)) {
+    ByteReader pr(log_record.payload);
+    auto sequence = pr.varint();
+    auto steps = pr.varint();
+    if (!sequence.ok() || !steps.ok()) {
+      return corrupt_data("journal barrier record at byte " +
+                          std::to_string(log_record.offset) +
+                          " is malformed");
+    }
+    record.kind = JournalRecord::Kind::kBarrier;
+    record.barrier_sequence = sequence.value();
+    record.barrier_step_count = steps.value();
+  } else {
+    return corrupt_data("journal record at byte " +
+                        std::to_string(log_record.offset) +
+                        " has unknown kind " +
+                        std::to_string(log_record.kind));
+  }
+  return record;
+}
+
+/// Decodes every record of a parsed log, so damage anywhere in the
+/// journal is reported even when only its tail gets replayed.
+[[nodiscard]] Result<JournalContents> decode_journal(const ParsedRecordLog& log) {
+  JournalContents out;
+  out.valid_bytes = log.valid_bytes;
+  out.torn_tail = log.torn_tail;
+  out.records.reserve(log.records.size());
+  for (const LogRecord& log_record : log.records) {
+    auto record = decode_record(log_record);
+    if (!record.ok()) return record.error();
+    out.records.push_back(std::move(record).value());
+  }
+  return out;
 }
 
 }  // namespace
@@ -94,86 +128,22 @@ Bytes journal_header() {
 // --- JournalWriter ----------------------------------------------------------
 
 Result<JournalWriter> JournalWriter::create(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return file_error("cannot create journal", path);
-  const Bytes header = journal_header();
-  if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
-      std::fflush(f) != 0) {
-    std::fclose(f);
-    return file_error("cannot write journal header", path);
-  }
-  std::fclose(f);
-  // Keep the live handle in append mode: every record then lands at the
-  // file's current end even if another handle compacts (truncates) the
-  // journal in between — two live sessions for the same student can
-  // interleave records, but a stale buffered offset can never punch a
-  // hole in the log.
-  f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return file_error("cannot open journal", path);
-  return JournalWriter(f, path, header.size());
-}
-
-Result<JournalWriter> JournalWriter::open(const std::string& path) {
-  auto existing = read_journal_file(path);
-  if (!existing.ok()) {
-    if (existing.error().code == ErrorCode::kNotFound) return create(path);
-    return existing.error();
-  }
-  // Trim a torn tail before appending so the new record starts at a clean
-  // boundary (otherwise it would be glued onto half of an old one).
-  if (existing.value().torn_tail) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, existing.value().valid_bytes, ec);
-    if (ec) {
-      return io_error("cannot trim torn journal tail '" + path +
-                      "': " + ec.message());
-    }
-  }
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return file_error("cannot open journal", path);
-  return JournalWriter(f, path, existing.value().valid_bytes);
-}
-
-JournalWriter::JournalWriter(JournalWriter&& other) noexcept
-    : file_(std::exchange(other.file_, nullptr)),
-      path_(std::move(other.path_)),
-      bytes_written_(other.bytes_written_) {}
-
-JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = std::exchange(other.file_, nullptr);
-    path_ = std::move(other.path_);
-    bytes_written_ = other.bytes_written_;
-  }
-  return *this;
-}
-
-JournalWriter::~JournalWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+  auto log = RecordLog::create(path, kJournalFormat);
+  if (!log.ok()) return log.error();
+  return JournalWriter(std::move(log).value());
 }
 
 Status JournalWriter::append_record(JournalRecord::Kind kind,
                                     const Bytes& payload) {
-  if (file_ == nullptr) {
-    return failed_precondition("journal writer was moved-from or closed");
-  }
   JournalMetrics& metrics = JournalMetrics::get();
   VGBL_SPAN("persist.journal_append");
   VGBL_TIMER(metrics.append_ms);
-  ByteWriter frame;
-  frame.put_u8(static_cast<u8>(kind));
-  frame.put_u32(static_cast<u32>(payload.size()));
-  frame.put_raw(payload.data(), payload.size());
-  frame.put_u32(crc32(payload));
-  const Bytes bytes = std::move(frame).take();
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size() ||
-      std::fflush(file_) != 0) {
-    return file_error("cannot append to journal", path_);
+  const u64 before = log_.bytes_written();
+  if (auto st = log_.append(static_cast<u8>(kind), payload); !st.ok()) {
+    return st;
   }
-  bytes_written_ += bytes.size();
   VGBL_COUNT(metrics.appends);
-  VGBL_COUNT(metrics.bytes, bytes.size());
+  VGBL_COUNT(metrics.bytes, log_.bytes_written() - before);
   return {};
 }
 
@@ -193,82 +163,9 @@ Status JournalWriter::append_barrier(u64 snapshot_sequence, u64 step_count) {
 // --- reading ----------------------------------------------------------------
 
 Result<JournalContents> parse_journal(std::span<const u8> data) {
-  ByteReader r(data);
-  auto magic = r.u32_();
-  if (!magic.ok() || magic.value() != kJournalMagic) {
-    return corrupt_data("not a VGSJ journal (bad magic)");
-  }
-  auto version = r.u16_();
-  auto reserved = r.u16_();
-  auto header_crc = r.u32_();
-  if (!version.ok() || !reserved.ok() || !header_crc.ok()) {
-    return corrupt_data("truncated journal header");
-  }
-  if (header_crc.value() != crc32(data.subspan(0, 8))) {
-    return corrupt_data("journal header crc mismatch");
-  }
-  if (version.value() != kJournalVersion) {
-    return unsupported("journal format version " +
-                       std::to_string(version.value()) + " (reader supports " +
-                       std::to_string(kJournalVersion) + ")");
-  }
-
-  JournalContents out;
-  out.valid_bytes = r.position();
-  ByteReader rec(data);
-  (void)rec.skip(out.valid_bytes);
-  while (!rec.at_end()) {
-    const size_t record_start = rec.position();
-    auto kind = rec.u8_();
-    auto size = rec.u32_();
-    if (!kind.ok() || !size.ok()) {
-      out.torn_tail = true;  // header of the record itself was cut short
-      break;
-    }
-    auto payload = rec.view(size.value());
-    auto stored_crc = rec.u32_();
-    if (!payload.ok() || !stored_crc.ok()) {
-      out.torn_tail = true;  // payload or trailer cut short: crash tail
-      break;
-    }
-    if (stored_crc.value() != crc32(payload.value())) {
-      // The record is fully present but damaged — that is corruption, not
-      // a torn append, so reject the journal.
-      return corrupt_data("journal record at byte " +
-                          std::to_string(record_start) + " crc mismatch");
-    }
-    JournalRecord record;
-    if (kind.value() == static_cast<u8>(JournalRecord::Kind::kStep)) {
-      auto step = read_step_payload(payload.value());
-      if (!step.ok()) {
-        return corrupt_data("journal step record at byte " +
-                            std::to_string(record_start) +
-                            ": " + step.error().message);
-      }
-      record.kind = JournalRecord::Kind::kStep;
-      record.step = std::move(step).value();
-    } else if (kind.value() ==
-               static_cast<u8>(JournalRecord::Kind::kBarrier)) {
-      ByteReader pr(payload.value());
-      auto sequence = pr.varint();
-      auto steps = pr.varint();
-      if (!sequence.ok() || !steps.ok()) {
-        return corrupt_data("journal barrier record at byte " +
-                            std::to_string(record_start) + " is malformed");
-      }
-      record.kind = JournalRecord::Kind::kBarrier;
-      record.barrier_sequence = sequence.value();
-      record.barrier_step_count = steps.value();
-    } else {
-      return corrupt_data("journal record at byte " +
-                          std::to_string(record_start) +
-                          " has unknown kind " +
-                          std::to_string(kind.value()));
-    }
-    out.records.push_back(std::move(record));
-    out.valid_bytes = rec.position();
-  }
-  return out;
+  auto log = parse_record_log(data, kJournalFormat);
+  if (!log.ok()) return log.error();
+  return decode_journal(log.value());
 }
 
 Result<JournalContents> read_journal_file(const std::string& path) {
@@ -277,24 +174,19 @@ Result<JournalContents> read_journal_file(const std::string& path) {
   return parse_journal(data.value());
 }
 
-std::vector<ScriptStep> steps_after_barrier(const JournalContents& journal,
-                                            u64 snapshot_sequence) {
-  // Find the last matching barrier; steps before it (or with no matching
-  // barrier at all) are already folded into the snapshot.
-  std::ptrdiff_t barrier = -1;
-  for (size_t i = 0; i < journal.records.size(); ++i) {
-    const auto& rec = journal.records[i];
-    if (rec.kind == JournalRecord::Kind::kBarrier &&
-        rec.barrier_sequence == snapshot_sequence) {
-      barrier = static_cast<std::ptrdiff_t>(i);
-    }
-  }
+Result<std::vector<ScriptStep>> steps_after_barrier(
+    std::span<const u8> data, u64 snapshot_sequence) {
+  auto log = parse_record_log(data, kJournalFormat);
+  if (!log.ok()) return log.error();
+  auto journal = decode_journal(log.value());
+  if (!journal.ok()) return journal.error();
   std::vector<ScriptStep> steps;
-  if (barrier < 0) return steps;
-  for (size_t i = static_cast<size_t>(barrier) + 1;
-       i < journal.records.size(); ++i) {
-    if (journal.records[i].kind == JournalRecord::Kind::kStep) {
-      steps.push_back(journal.records[i].step);
+  const auto barrier = last_barrier(log.value().records, snapshot_sequence);
+  if (!barrier.has_value()) return steps;
+  auto& records = journal.value().records;
+  for (size_t i = *barrier + 1; i < records.size(); ++i) {
+    if (records[i].kind == JournalRecord::Kind::kStep) {
+      steps.push_back(std::move(records[i].step));
     }
   }
   return steps;

@@ -1,26 +1,25 @@
-// Write-ahead input journal: an append-only, CRC-framed log of the
-// ScriptSteps applied to a session since its last snapshot, plus barrier
-// records marking snapshot checkpoints. Recovery = load the latest valid
-// snapshot, then replay the journal records that follow the barrier whose
-// sequence matches it (see session_store.hpp for the full protocol).
+// Write-ahead input journal: the ScriptSteps applied to a session since
+// its last snapshot, plus barrier records marking snapshot checkpoints,
+// on the shared record-log format (util/record_log.hpp: sealed header,
+// CRC-framed records, torn-tail vs corruption semantics). This file is
+// the payload codec:
 //
-//   file header  magic u32 | version u16 | reserved u16 | crc32(header)
-//   record       kind u8 | payload_size u32 | payload | crc32(payload)
+//   step     kind 1 | op u8 | object | item | second item | choice varint
+//                   | wait_time i64 | point i32 i32
+//   barrier  kind 2 | snapshot sequence varint | step count varint
 //
-// Failure semantics distinguish a *torn tail* from *corruption*: a record
-// cut short by the end of the file is the expected shape of a crash during
-// append, so readers drop it and report the journal recoverable. A record
-// that is fully present but fails its CRC means the file was damaged after
-// the fact, and the whole journal is rejected with kCorruptData.
+// Recovery = load the latest valid snapshot, then replay the journal
+// steps that follow the barrier whose sequence matches it (see
+// session_store.hpp for the full protocol).
 #pragma once
 
-#include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "runtime/script.hpp"
 #include "util/bytes.hpp"
-#include "util/fileio.hpp"
+#include "util/record_log.hpp"
 #include "util/result.hpp"
 
 namespace vgbl {
@@ -29,7 +28,7 @@ inline constexpr u32 kJournalMagic = 0x4A534756;  // "VGSJ" little-endian
 inline constexpr u16 kJournalVersion = 1;
 
 struct JournalRecord {
-  enum class Kind : u8 { kStep = 1, kBarrier = 2 };
+  enum class Kind : u8 { kStep = 1, kBarrier = kBarrierRecord };
   Kind kind = Kind::kStep;
   ScriptStep step;            ///< meaningful when kind == kStep
   u64 barrier_sequence = 0;   ///< snapshot sequence, when kind == kBarrier
@@ -48,30 +47,18 @@ class JournalWriter {
  public:
   /// Creates (or truncates) `path` and writes a fresh file header.
   [[nodiscard]] static Result<JournalWriter> create(const std::string& path);
-  /// Opens an existing journal for appending. The readable prefix is
-  /// validated first; a torn tail is trimmed, corruption is rejected.
-  [[nodiscard]] static Result<JournalWriter> open(const std::string& path);
-
-  JournalWriter(JournalWriter&& other) noexcept;
-  JournalWriter& operator=(JournalWriter&& other) noexcept;
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
-  ~JournalWriter();
 
   Status append_step(const ScriptStep& step);
   Status append_barrier(u64 snapshot_sequence, u64 step_count);
 
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] u64 bytes_written() const { return bytes_written_; }
+  [[nodiscard]] const std::string& path() const { return log_.path(); }
+  [[nodiscard]] u64 bytes_written() const { return log_.bytes_written(); }
 
  private:
-  JournalWriter(std::FILE* file, std::string path, u64 size)
-      : file_(file), path_(std::move(path)), bytes_written_(size) {}
+  explicit JournalWriter(RecordLog log) : log_(std::move(log)) {}
   Status append_record(JournalRecord::Kind kind, const Bytes& payload);
 
-  std::FILE* file_ = nullptr;
-  std::string path_;
-  u64 bytes_written_ = 0;
+  RecordLog log_;
 };
 
 struct JournalContents {
@@ -89,17 +76,14 @@ struct JournalContents {
 /// Reads and parses a journal file. kNotFound when the file is absent.
 [[nodiscard]] Result<JournalContents> read_journal_file(const std::string& path);
 
-/// The steps to replay on top of a snapshot with `snapshot_sequence`:
-/// everything after the last barrier whose sequence matches. Returns an
-/// empty list when no such barrier exists — then every journaled step is
-/// already folded into the snapshot (a crash hit between the snapshot
-/// rename and the journal compaction) or the journal belongs to an older
-/// generation; replaying would double-apply inputs.
-std::vector<ScriptStep> steps_after_barrier(const JournalContents& journal,
-                                            u64 snapshot_sequence);
-
-// The shared file helpers (read_binary_file / write_binary_file_atomic)
-// moved to util/fileio.hpp so non-persist stores (src/rewards) can share
-// them; the include above keeps existing callers compiling.
+/// Parses journal bytes and returns the steps to replay on top of a
+/// snapshot with `snapshot_sequence`: everything after the last barrier
+/// whose sequence matches. Empty when no such barrier exists — then every
+/// journaled step is already folded into the snapshot (a crash hit
+/// between the snapshot rename and the journal compaction) or the journal
+/// belongs to an older generation; replaying would double-apply inputs.
+/// Errors as parse_journal.
+[[nodiscard]] Result<std::vector<ScriptStep>> steps_after_barrier(
+    std::span<const u8> data, u64 snapshot_sequence);
 
 }  // namespace vgbl

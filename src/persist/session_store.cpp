@@ -6,6 +6,7 @@
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/fileio.hpp"
 
 namespace vgbl {
 
@@ -267,11 +268,12 @@ Result<std::unique_ptr<PersistedSession>> SessionStore::open_session(
 
   // 2. Journal tail: replay the steps not yet folded into the snapshot.
   bool have_journal = false;
-  auto journal = read_journal_file(ps->journal_path_);
+  auto journal = read_binary_file(ps->journal_path_);
   if (journal.ok()) {
     have_journal = true;
-    for (const auto& step :
-         steps_after_barrier(journal.value(), ps->sequence_)) {
+    auto steps = steps_after_barrier(journal.value(), ps->sequence_);
+    if (!steps.ok()) return steps.error();
+    for (const auto& step : steps.value()) {
       ++ps->step_count_;
       ++ps->replayed_steps_;
       if (ps->session_->game_over()) continue;

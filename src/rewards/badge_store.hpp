@@ -15,8 +15,9 @@
 // matching barrier; grants are idempotent per (student, rule), so a crash
 // between rename and compaction — where no matching barrier exists and
 // every journaled grant is already folded in — replays as a no-op.
-// A torn journal tail is trimmed (crash shape); a CRC failure anywhere
-// else is kCorruptData.
+// Both files use the shared record-log format (util/record_log.hpp): the
+// journal is a record log, the snapshot a sealed file. A torn journal tail
+// is trimmed (crash shape); a CRC failure anywhere else is kCorruptData.
 //
 // Concurrency. Safe to share across the classroom worker pool: in-memory
 // student records live in lock-sharded maps (VGBL_GUARDED_BY, keyed by
@@ -30,14 +31,15 @@
 #pragma once
 
 #include <array>
-#include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "rewards/evaluator.hpp"
+#include "util/record_log.hpp"
 #include "util/result.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/types.hpp"
@@ -83,7 +85,6 @@ class BadgeStore {
 
   BadgeStore(const BadgeStore&) = delete;
   BadgeStore& operator=(const BadgeStore&) = delete;
-  ~BadgeStore();
 
   /// Commits a session's unlock stream for `student_id`. Unlocks whose
   /// rule already has a grant for this student are skipped (badges are
@@ -141,7 +142,7 @@ class BadgeStore {
   mutable std::array<Shard, kShards> shards_;
 
   mutable Mutex journal_mutex_;
-  std::FILE* journal_file_ VGBL_GUARDED_BY(journal_mutex_) = nullptr;
+  std::optional<RecordLog> journal_ VGBL_GUARDED_BY(journal_mutex_);
   u64 sequence_ VGBL_GUARDED_BY(journal_mutex_) = 0;
   u64 commits_since_checkpoint_ VGBL_GUARDED_BY(journal_mutex_) = 0;
 };

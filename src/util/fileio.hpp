@@ -1,7 +1,8 @@
-// Shared binary-file helpers for the persistence-shaped subsystems
-// (src/persist session store, src/rewards badge store). Moved down from
-// src/persist so stores outside that layer can share the atomic-write
-// discipline without depending on the session-store stack.
+// Shared binary-file helpers for the durable stores (src/persist session
+// store, src/rewards badge store) and the record log they journal through
+// (util/record_log.hpp). They live in util so stores outside src/persist
+// share the atomic-write discipline without depending on the session-store
+// stack.
 #pragma once
 
 #include <span>
@@ -11,6 +12,10 @@
 #include "util/result.hpp"
 
 namespace vgbl {
+
+/// kIoError naming the failed operation, the path and errno's text.
+[[nodiscard]] Error file_error(const std::string& what,
+                               const std::string& path);
 
 /// Reads a whole file. kNotFound when absent, kIoError on read failure.
 [[nodiscard]] Result<Bytes> read_binary_file(const std::string& path);

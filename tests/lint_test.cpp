@@ -88,7 +88,7 @@ TEST(LintConfig, RepoRulesParse) {
         "no-naked-new", "gen-generator-determinism",
         "replay-state-unordered", "obs-guarded-metric", "include-hygiene",
         "banned-pattern", "determinism-taint", "lock-order-cycle",
-        "nodiscard-result"}) {
+        "nodiscard-result", "durable-io-in-util"}) {
     EXPECT_TRUE(std::count(ids.begin(), ids.end(), expected) == 1)
         << "missing rule " << expected;
   }
@@ -198,6 +198,25 @@ TEST(LintScoping, UnorderedRuleStopsAtReplayBoundary) {
   const std::string source = fixture("unordered_bad.cpp");
   EXPECT_FALSE(fires(lint_file("src/core/x.cpp", source, repo_rules()),
                      "replay-state-unordered"));
+}
+
+TEST(LintFixtures, RawFileIoBadFires) {
+  // Both store directories: fopen, fwrite, fflush, resize_file.
+  for (const char* path :
+       {"src/persist/raw_file_io_bad.cpp", "src/rewards/raw_file_io_bad.cpp"}) {
+    const auto findings =
+        lint_file(path, fixture("raw_file_io_bad.cpp"), repo_rules());
+    SCOPED_TRACE(path);
+    expect_only(findings, "durable-io-in-util");
+    EXPECT_EQ(findings.size(), 4u);
+  }
+}
+
+TEST(LintScoping, RawFileIoAllowedInUtil) {
+  // util/fileio and util/record_log are where durable writes live.
+  const std::string source = fixture("raw_file_io_bad.cpp");
+  EXPECT_FALSE(fires(lint_file("src/util/record_log.cpp", source, repo_rules()),
+                     "durable-io-in-util"));
 }
 
 TEST(LintFixtures, NakedNewBadFires) {
@@ -475,6 +494,7 @@ TEST(LintEngine, ParallelScanOutputIsDeterministic) {
       {"src/persist/unordered_bad.cpp", fixture("unordered_bad.cpp")},
       {"src/sim/naked_new_bad.cpp", fixture("naked_new_bad.cpp")},
       {"src/core/namespace_bad.cpp", fixture("namespace_bad.cpp")},
+      {"src/rewards/raw_file_io_bad.cpp", fixture("raw_file_io_bad.cpp")},
   };
   CrossTuOptions serial;
   serial.jobs = 1;

@@ -3,6 +3,8 @@
 // crash-recoverable session store end to end.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -15,6 +17,7 @@
 #include "persist/snapshot.hpp"
 #include "rewards/evaluator.hpp"
 #include "util/crc32.hpp"
+#include "util/fileio.hpp"
 
 namespace vgbl {
 namespace {
@@ -405,20 +408,8 @@ TEST(JournalTest, TornTailIsTrimmedNotFatal) {
     EXPECT_LE(parsed.value().records.size(), 3u);
     EXPECT_LE(parsed.value().valid_bytes, cut);
   }
-
-  // A writer reopening a torn journal trims it and appends cleanly.
-  fs::resize_file(path, bytes.size() - 3);
-  {
-    auto writer = JournalWriter::open(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("c")).ok());
-  }
-  auto journal = read_journal_file(path);
-  ASSERT_TRUE(journal.ok());
-  EXPECT_FALSE(journal.value().torn_tail);
-  ASSERT_EQ(journal.value().records.size(), 3u);
-  EXPECT_EQ(journal.value().records[1].step.object_name, "a");
-  EXPECT_EQ(journal.value().records[2].step.object_name, "c");
+  // Trimming a torn tail before the next append is RecordLog's job
+  // (RecordLogTest.TornTailIsTrimmedBeforeAppend in util_test).
 }
 
 TEST(JournalTest, CorruptedRecordIsRejectedWithTypedError) {
@@ -449,12 +440,64 @@ TEST(JournalTest, StepsAfterBarrierSelectsOnlyMatchingGeneration) {
     ASSERT_TRUE(writer.value().append_step(ScriptStep::click("x")).ok());
     ASSERT_TRUE(writer.value().append_step(ScriptStep::click("y")).ok());
   }
-  auto journal = read_journal_file(path);
-  ASSERT_TRUE(journal.ok());
-  EXPECT_EQ(steps_after_barrier(journal.value(), 3).size(), 2u);
+  auto data = read_binary_file(path);
+  ASSERT_TRUE(data.ok());
+  auto matching = steps_after_barrier(data.value(), 3);
+  ASSERT_TRUE(matching.ok());
+  ASSERT_EQ(matching.value().size(), 2u);
+  EXPECT_EQ(matching.value()[0].object_name, "x");
+  EXPECT_EQ(matching.value()[1].object_name, "y");
   // No barrier for sequence 4: the journal predates the snapshot, so
   // nothing may be replayed (the steps are already inside it).
-  EXPECT_TRUE(steps_after_barrier(journal.value(), 4).empty());
+  auto stale = steps_after_barrier(data.value(), 4);
+  ASSERT_TRUE(stale.ok());
+  EXPECT_TRUE(stale.value().empty());
+}
+
+/// Order-sensitive FNV-1a over a file's bytes, the hash family of the
+/// codec golden and classroom fingerprints.
+u64 file_fingerprint(const std::string& path) {
+  auto data = read_binary_file(path);
+  EXPECT_TRUE(data.ok()) << path;
+  u64 h = 14695981039346656037ULL;
+  for (u8 b : data.ok() ? data.value() : Bytes{}) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// On-disk format pin: a scripted journal with every step op and two
+// barrier generations must keep its exact bytes. Any change to the
+// header, the record frame or the step/barrier payloads flips the
+// fingerprint. Print the current value with VGBL_GOLDEN_PRINT=1.
+TEST(JournalTest, OnDiskBytesArePinned) {
+  const std::string path = test_dir("journal_pin") + "/log.journal";
+  {
+    auto writer = JournalWriter::create(path);
+    ASSERT_TRUE(writer.ok());
+    JournalWriter& w = writer.value();
+    ASSERT_TRUE(w.append_barrier(1, 0).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::click("teacher")).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::examine("computer")).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::drag_to_inventory("map")).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::use_item("psu_part", "pc")).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::combine("torn_map", "lantern")).ok());
+    ASSERT_TRUE(w.append_barrier(2, 5).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::choose(2)).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::advance()).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::answer_quiz(300)).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::wait(milliseconds(-250))).ok());
+    ASSERT_TRUE(w.append_step(ScriptStep::click_at({-7, 70000})).ok());
+    EXPECT_EQ(w.bytes_written(), 378u);
+  }
+  const u64 fingerprint = file_fingerprint(path);
+  if (std::getenv("VGBL_GOLDEN_PRINT") != nullptr) {
+    std::printf("journal pin: 0x%016llxULL\n",
+                static_cast<unsigned long long>(fingerprint));
+  }
+  EXPECT_EQ(fs::file_size(path), 378u);
+  EXPECT_EQ(fingerprint, 0x4af8c2e043499c67ULL);
 }
 
 // --- session store ----------------------------------------------------------

@@ -5,6 +5,8 @@
 // and save/resume splits through a SessionStore.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include "rewards/evaluator.hpp"
 #include "rewards/leaderboard.hpp"
 #include "rewards/rules.hpp"
+#include "util/fileio.hpp"
 
 namespace vgbl::rewards {
 namespace {
@@ -407,6 +410,50 @@ TEST(BadgeStoreTest, MidJournalCorruptionIsTypedError) {
   auto reopened = BadgeStore::open({.directory = dir});
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.error().code, ErrorCode::kCorruptData);
+}
+
+/// Order-sensitive FNV-1a over a file's bytes, the hash family of the
+/// codec golden and classroom fingerprints.
+u64 file_fingerprint(const std::string& path) {
+  auto data = read_binary_file(path);
+  EXPECT_TRUE(data.ok()) << path;
+  u64 h = 14695981039346656037ULL;
+  for (u8 b : data.ok() ? data.value() : Bytes{}) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// On-disk format pins for the badge journal (before and after compaction)
+// and badges.snap. A fixed commit sequence, including a duplicate grant
+// the store must skip, must keep producing these exact bytes. Print the
+// current values with VGBL_GOLDEN_PRINT=1.
+TEST(BadgeStoreTest, OnDiskBytesArePinned) {
+  const std::string dir = test_dir("pin");
+  auto store = BadgeStore::open({.directory = dir}).value();
+  ASSERT_TRUE(store->commit("amy", sample_unlocks()).ok());
+  const std::vector<Unlock> zoe = {{seconds(3), 7, "explorer", -4},
+                                   {milliseconds(9500), 1, "first-steps", 10}};
+  ASSERT_TRUE(store->commit("zoe", zoe).ok());
+  // Duplicate of amy's rule 4 plus one new grant.
+  const std::vector<Unlock> amy_again = {{seconds(30), 4, "collector", 25},
+                                         {seconds(31), 12, "scholar", 300}};
+  ASSERT_EQ(store->commit("amy", amy_again).value(), 1u);
+  const u64 journal = file_fingerprint(store->journal_path());
+  ASSERT_TRUE(store->checkpoint().ok());
+  const u64 snapshot = file_fingerprint(store->snapshot_path());
+  const u64 compacted = file_fingerprint(store->journal_path());
+  if (std::getenv("VGBL_GOLDEN_PRINT") != nullptr) {
+    std::printf("badge pins: journal 0x%016llxULL snapshot 0x%016llxULL "
+                "compacted 0x%016llxULL\n",
+                static_cast<unsigned long long>(journal),
+                static_cast<unsigned long long>(snapshot),
+                static_cast<unsigned long long>(compacted));
+  }
+  EXPECT_EQ(journal, 0x07c211bc582d7a34ULL);
+  EXPECT_EQ(snapshot, 0x90b5c904a9f8cc49ULL);
+  EXPECT_EQ(compacted, 0x3912f93ff8cc963fULL);
 }
 
 // --- leaderboard ------------------------------------------------------------

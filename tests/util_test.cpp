@@ -1,12 +1,18 @@
 // Unit tests for the util substrate: Result/Status, geometry, RNG,
-// byte/bit serialization, CRC32, text helpers and the JSON engine.
+// byte/bit serialization, CRC32, the record log, text helpers and the
+// JSON engine.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
 
 #include "util/bitstream.hpp"
 #include "util/bytes.hpp"
 #include "util/crc32.hpp"
+#include "util/fileio.hpp"
 #include "util/geometry.hpp"
 #include "util/json.hpp"
+#include "util/record_log.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
@@ -421,6 +427,154 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   const u32 before = crc32(data);
   data[10] ^= 0x01;
   EXPECT_NE(crc32(data), before);
+}
+
+// --- Record log -----------------------------------------------------------------
+
+constexpr RecordFormat kTestFormat{0x54534554, 3, "test log"};
+
+std::string record_log_path(const std::string& name) {
+  const std::string dir = testing::TempDir() + "vgbl_util_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir + "/log";
+}
+
+Bytes text_bytes(const std::string& text) { return Bytes(text.begin(), text.end()); }
+
+std::string payload_text(const LogRecord& record) {
+  return std::string(record.payload.begin(), record.payload.end());
+}
+
+Bytes barrier_payload(u64 sequence) {
+  ByteWriter w;
+  w.put_varint(sequence);
+  return std::move(w).take();
+}
+
+TEST(RecordLogTest, TornTailIsTrimmedBeforeAppend) {
+  const std::string path = record_log_path("torn");
+  {
+    auto log = RecordLog::create(path, kTestFormat);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE(log.value().append(1, text_bytes("a")).ok());
+    ASSERT_TRUE(log.value().append(1, text_bytes("bb")).ok());
+    EXPECT_EQ(log.value().bytes_written(), 12u + 10u + 11u);
+  }
+  // A crash mid-append leaves the last record cut short.
+  std::filesystem::resize_file(path, 12 + 10 + 8);
+  auto torn_bytes = read_binary_file(path);
+  ASSERT_TRUE(torn_bytes.ok());
+  auto torn = parse_record_log(torn_bytes.value(), kTestFormat);
+  ASSERT_TRUE(torn.ok());
+  EXPECT_TRUE(torn.value().torn_tail);
+  EXPECT_EQ(torn.value().valid_bytes, 22u);
+  ASSERT_EQ(torn.value().records.size(), 1u);
+
+  // Reopening trims the torn record, so the next one starts cleanly.
+  {
+    auto log = RecordLog::open_existing(path, torn.value());
+    ASSERT_TRUE(log.ok());
+    EXPECT_EQ(log.value().bytes_written(), 22u);
+    ASSERT_TRUE(log.value().append(1, text_bytes("c")).ok());
+  }
+  auto bytes = read_binary_file(path);
+  ASSERT_TRUE(bytes.ok());
+  auto parsed = parse_record_log(bytes.value(), kTestFormat);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_FALSE(parsed.value().torn_tail);
+  EXPECT_EQ(parsed.value().valid_bytes, bytes.value().size());
+  ASSERT_EQ(parsed.value().records.size(), 2u);
+  EXPECT_EQ(payload_text(parsed.value().records[0]), "a");
+  EXPECT_EQ(parsed.value().records[1].offset, 22u);
+  EXPECT_EQ(payload_text(parsed.value().records[1]), "c");
+}
+
+TEST(RecordLogTest, DamageIsTypedAndVersionIsUnsupported) {
+  const std::string path = record_log_path("typed");
+  {
+    auto log = RecordLog::create(path, kTestFormat);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE(log.value().append(1, text_bytes("first")).ok());
+    ASSERT_TRUE(log.value().append(1, text_bytes("second")).ok());
+  }
+  const Bytes good = read_binary_file(path).value();
+  ASSERT_TRUE(parse_record_log(good, kTestFormat).ok());
+  const auto code = [](const Bytes& data) {
+    auto parsed = parse_record_log(data, kTestFormat);
+    return parsed.ok() ? ErrorCode::kOk : parsed.error().code;
+  };
+
+  Bytes bad_magic = good;
+  bad_magic[0] ^= 0xFF;
+  EXPECT_EQ(code(bad_magic), ErrorCode::kCorruptData);
+  Bytes bad_header_crc = good;
+  bad_header_crc[9] ^= 0xFF;
+  EXPECT_EQ(code(bad_header_crc), ErrorCode::kCorruptData);
+  EXPECT_EQ(code(Bytes(good.begin(), good.begin() + 11)),
+            ErrorCode::kCorruptData);
+  Bytes mid_file = good;
+  mid_file[12 + 5 + 2] ^= 0xFF;  // inside the first, fully present payload
+  EXPECT_EQ(code(mid_file), ErrorCode::kCorruptData);
+
+  // Another version under a valid header CRC is unsupported, not damage.
+  ByteWriter future;
+  future.put_u32(kTestFormat.magic);
+  future.put_u16(kTestFormat.version + 1);
+  future.put_u16(0);
+  future.put_u32(crc32(future.bytes()));
+  EXPECT_EQ(code(future.bytes()), ErrorCode::kUnsupported);
+
+  // A barrier must lead with its sequence varint.
+  {
+    auto log = RecordLog::create(path, kTestFormat);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE(log.value().append(kBarrierRecord, Bytes{0x80}).ok());
+  }
+  EXPECT_EQ(code(read_binary_file(path).value()), ErrorCode::kCorruptData);
+}
+
+TEST(RecordLogTest, LastBarrierFindsTheLatestMatch) {
+  const std::string path = record_log_path("barrier");
+  {
+    auto log = RecordLog::create(path, kTestFormat);
+    ASSERT_TRUE(log.ok());
+    for (u64 sequence : {3u, 5u, 3u}) {
+      ASSERT_TRUE(log.value().append(kBarrierRecord, barrier_payload(sequence)).ok());
+      ASSERT_TRUE(log.value().append(1, barrier_payload(sequence)).ok());
+    }
+  }
+  const Bytes data = read_binary_file(path).value();
+  auto parsed = parse_record_log(data, kTestFormat);
+  ASSERT_TRUE(parsed.ok());
+  const auto& records = parsed.value().records;
+  EXPECT_EQ(last_barrier(records, 3), std::optional<size_t>(4));
+  EXPECT_EQ(last_barrier(records, 5), std::optional<size_t>(2));
+  // Kind-1 records carrying the same varint are not barriers.
+  EXPECT_EQ(last_barrier(records, 7), std::nullopt);
+  EXPECT_EQ(last_barrier({}, 3), std::nullopt);
+}
+
+TEST(RecordLogTest, SealedFileRoundTripsAndRejectsDamage) {
+  const Bytes body = text_bytes("snapshot body");
+  const Bytes sealed = seal_file(kTestFormat, body);
+  ASSERT_EQ(sealed.size(), 12u + body.size() + 4u);
+  auto opened = sealed_file_body(sealed, kTestFormat);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(Bytes(opened.value().begin(), opened.value().end()), body);
+  EXPECT_TRUE(sealed_file_body(seal_file(kTestFormat, {}), kTestFormat).ok());
+
+  Bytes flipped = sealed;
+  flipped[14] ^= 0x01;
+  EXPECT_EQ(sealed_file_body(flipped, kTestFormat).error().code,
+            ErrorCode::kCorruptData);
+  EXPECT_EQ(sealed_file_body(std::span(sealed.data(), 14), kTestFormat)
+                .error()
+                .code,
+            ErrorCode::kCorruptData);
+  const RecordFormat other{kTestFormat.magic + 1, 3, "other"};
+  EXPECT_EQ(sealed_file_body(sealed, other).error().code,
+            ErrorCode::kCorruptData);
 }
 
 // --- Text ------------------------------------------------------------------------

@@ -44,6 +44,7 @@
 #include "rewards/leaderboard.hpp"
 #include "rewards/rules.hpp"
 #include "runtime/compositor.hpp"
+#include "util/fileio.hpp"
 #include "util/text.hpp"
 
 namespace {
