@@ -89,8 +89,8 @@ pgo_gate() {
 }
 
 # vgbl-lint (DESIGN.md §5f, §5k): builds the binary in the default tree
-# and sweeps src/ + tools/ — per-file rules plus the cross-TU taint,
-# lock-order and nodiscard passes. Cheap enough (~150 ms) to ride in the
+# and sweeps src/ + tools/ — per-file rules plus the cross-TU taint and
+# lock-order passes. Cheap enough (~150 ms) to ride in the
 # fast gate as well as the full lint gate.
 vgbl_lint_run() {
   echo "=== lint: vgbl-lint over src/ tools/ ==="

@@ -52,16 +52,16 @@ struct BundleOptions {
 /// Renders the project's clip, encodes it (keyframes forced at segment
 /// starts so every scenario is instantly seekable), muxes the container
 /// and serialises the game data. Fails if the project lint has errors.
-[[nodiscard]] Result<Bytes> build_bundle(const Project& project, const BundleOptions& options);
+Result<Bytes> build_bundle(const Project& project, const BundleOptions& options);
 inline Result<Bytes> build_bundle(const Project& project) {
   return build_bundle(project, BundleOptions{});
 }
 
 /// Parses and validates a bundle produced by `build_bundle`.
-[[nodiscard]] Result<GameBundle> load_bundle(Bytes data);
+Result<GameBundle> load_bundle(Bytes data);
 
 /// Convenience: build then immediately load (authoring-tool "preview").
-[[nodiscard]] Result<GameBundle> build_and_load(const Project& project,
+Result<GameBundle> build_and_load(const Project& project,
                                   const BundleOptions& options);
 inline Result<GameBundle> build_and_load(const Project& project) {
   return build_and_load(project, BundleOptions{});

@@ -18,7 +18,7 @@ class Editor {
 
   // --- Scenario editor (paper §4.1) --------------------------------------
   /// Adds a scenario presenting `segment`; returns the new id.
-  [[nodiscard]] Result<ScenarioId> add_scenario(std::string name, SegmentId segment);
+  Result<ScenarioId> add_scenario(std::string name, SegmentId segment);
   Status remove_scenario(ScenarioId id);
   Status rename_scenario(ScenarioId id, std::string new_name);
   Status set_start_scenario(ScenarioId id);
@@ -29,7 +29,7 @@ class Editor {
   // --- Object editor (paper §4.2) -----------------------------------------
   /// Places `proto` (id field ignored; a fresh id is assigned). The sprite
   /// is built from proto.sprite_spec when the sprite itself is empty.
-  [[nodiscard]] Result<ObjectId> place_object(InteractiveObject proto);
+  Result<ObjectId> place_object(InteractiveObject proto);
   Status remove_object(ObjectId id);
   Status move_object(ObjectId id, Point new_origin);
   Status resize_object(ObjectId id, Size new_size);
@@ -39,11 +39,11 @@ class Editor {
   Status set_object_visible(ObjectId id, bool visible);
 
   // --- Items / rules / dialogues ------------------------------------------
-  [[nodiscard]] Result<ItemId> add_item(ItemDef proto);
-  [[nodiscard]] Result<RuleId> add_rule(EventRule proto);
+  Result<ItemId> add_item(ItemDef proto);
+  Result<RuleId> add_rule(EventRule proto);
   Status remove_rule(RuleId id);
-  [[nodiscard]] Result<DialogueId> add_dialogue(DialogueTree tree);
-  [[nodiscard]] Result<QuizId> add_quiz(Quiz quiz);
+  Result<DialogueId> add_dialogue(DialogueTree tree);
+  Result<QuizId> add_quiz(Quiz quiz);
   Status add_combine_rule(CombineRule rule);
 
   // --- History --------------------------------------------------------------

@@ -29,11 +29,11 @@ struct ImportReport {
 /// scenario per segment. Replaces any previously imported video; fails
 /// with kFailedPrecondition if scenarios already reference old segments
 /// and `create_scenarios` is false.
-[[nodiscard]] Result<ImportReport> import_clip(Project& project, ClipSpec spec,
+Result<ImportReport> import_clip(Project& project, ClipSpec spec,
                                  const ImportOptions& options = {});
 
 /// Re-renders the project's clip from its recipe (authoring preview and
 /// bundling both need the frames).
-[[nodiscard]] Result<Clip> render_project_clip(const Project& project);
+Result<Clip> render_project_clip(const Project& project);
 
 }  // namespace vgbl

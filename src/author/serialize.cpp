@@ -9,7 +9,7 @@ Json color_to_json(Color c) {
   return Json(std::move(a));
 }
 
-[[nodiscard]] Result<Color> color_from_json(const Json& json) {
+Result<Color> color_from_json(const Json& json) {
   const auto& a = json.as_array();
   if (!json.is_array() || a.size() != 3) {
     return corrupt_data("color must be a 3-element array");
@@ -23,7 +23,7 @@ Json rect_to_json(const Rect& r) {
   return Json(std::move(a));
 }
 
-[[nodiscard]] Result<Rect> rect_from_json(const Json& json) {
+Result<Rect> rect_from_json(const Json& json) {
   const auto& a = json.as_array();
   if (!json.is_array() || a.size() != 4) {
     return corrupt_data("rect must be a 4-element array");

@@ -20,25 +20,25 @@ namespace vgbl {
 
 /// Parses a project document; performs schema-version migration (v1
 /// projects lack transition weights; they default to 1.0).
-[[nodiscard]] Result<Project> project_from_json(const Json& json);
-[[nodiscard]] Result<Project> load_project_text(const std::string& text);
+Result<Project> project_from_json(const Json& json);
+Result<Project> load_project_text(const std::string& text);
 
 // Entity-level helpers shared with the bundle writer (exposed for tests).
 [[nodiscard]] Json condition_to_json(const Condition& c);
-[[nodiscard]] Result<Condition> condition_from_json(const Json& json);
+Result<Condition> condition_from_json(const Json& json);
 [[nodiscard]] Json action_to_json(const Action& a);
-[[nodiscard]] Result<Action> action_from_json(const Json& json);
+Result<Action> action_from_json(const Json& json);
 [[nodiscard]] Json trigger_to_json(const Trigger& t);
-[[nodiscard]] Result<Trigger> trigger_from_json(const Json& json);
+Result<Trigger> trigger_from_json(const Json& json);
 [[nodiscard]] Json rule_to_json(const EventRule& r);
-[[nodiscard]] Result<EventRule> rule_from_json(const Json& json);
+Result<EventRule> rule_from_json(const Json& json);
 [[nodiscard]] Json dialogue_to_json(const DialogueTree& d);
-[[nodiscard]] Result<DialogueTree> dialogue_from_json(const Json& json);
+Result<DialogueTree> dialogue_from_json(const Json& json);
 [[nodiscard]] Json quiz_to_json(const Quiz& q);
-[[nodiscard]] Result<Quiz> quiz_from_json(const Json& json);
+Result<Quiz> quiz_from_json(const Json& json);
 [[nodiscard]] Json object_to_json(const InteractiveObject& o);
-[[nodiscard]] Result<InteractiveObject> object_from_json(const Json& json);
+Result<InteractiveObject> object_from_json(const Json& json);
 [[nodiscard]] Json clip_spec_to_json(const ClipSpec& spec);
-[[nodiscard]] Result<ClipSpec> clip_spec_from_json(const Json& json);
+Result<ClipSpec> clip_spec_from_json(const Json& json);
 
 }  // namespace vgbl

@@ -1,15 +1,16 @@
-// Shared building blocks for the two classroom engines (DESIGN.md §5i):
-// the legacy thread-per-student path in classroom.cpp and the
-// discrete-event path in src/sim/classroom_des.cpp. Everything here is
-// inline on purpose — src/sim uses these helpers without linking the
-// classroom engine itself (vgbl_core links vgbl_sim, not the other way
-// around), and both engines sharing the exact aggregation arithmetic is
-// what makes their summaries bit-identical.
+// Shared building blocks of the classroom engine (DESIGN.md §5i):
+// simulate_classroom in classroom.cpp, the StudentActor in
+// src/sim/classroom_des.cpp and the district runner in src/sim/district.cpp.
+// Everything here is inline on purpose — src/sim uses these helpers
+// without linking vgbl_core (vgbl_core links vgbl_sim, not the other way
+// around), and one copy of the aggregation arithmetic is what makes a
+// classroom's summary bits the same whichever runner produced them.
 #pragma once
 
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/classroom.hpp"
@@ -106,11 +107,25 @@ inline void commit_unlocks(rewards::BadgeStore* badge_store,
   (void)committed;
 }
 
+/// One leaderboard row for a finished student, listed under `id`.
+inline rewards::LeaderboardRow leaderboard_row(std::string id,
+                                               const StudentResult& s) {
+  rewards::LeaderboardRow row;
+  row.student_id = std::move(id);
+  row.badges = static_cast<int>(s.unlocks.size());
+  row.badge_points = s.badge_points;
+  // Ledger totals already include badge bonuses; the row keeps the
+  // gameplay score separate so total_points() counts bonuses once.
+  row.score = s.score - s.badge_points;
+  for (const auto& u : s.unlocks) row.badge_names.push_back(u.badge);
+  return row;
+}
+
 /// Post-barrier aggregation over the per-student result slots: metrics,
-/// cohort means and the ranked leaderboard, all in index order. Both
-/// engines fill slots however they like (thread pool, event shards) and
+/// cohort means and the ranked leaderboard, all in index order. Callers
+/// fill the slots however they like (any shard or thread placement) and
 /// funnel through this one function, so summary bits cannot depend on the
-/// engine. `run_started_us` is the obs::wall_now_us() stamp from before
+/// placement. `run_started_us` is the obs::wall_now_us() stamp from before
 /// the run (throughput gauge only — observe-only by contract).
 inline ClassroomSummary aggregate_classroom_results(
     std::vector<std::optional<StudentResult>> results,
@@ -161,15 +176,8 @@ inline ClassroomSummary aggregate_classroom_results(
   if (options.reward_rules != nullptr) {
     std::vector<rewards::LeaderboardRow> rows;
     for (const auto& s : summary.students) {
-      rewards::LeaderboardRow row;
-      row.student_id = "student-" + std::to_string(s.student_id);
-      row.badges = static_cast<int>(s.unlocks.size());
-      row.badge_points = s.badge_points;
-      // Ledger totals already include badge bonuses; the row keeps the
-      // gameplay score separate so total_points() counts bonuses once.
-      row.score = s.score - s.badge_points;
-      for (const auto& u : s.unlocks) row.badge_names.push_back(u.badge);
-      rows.push_back(std::move(row));
+      rows.push_back(
+          leaderboard_row("student-" + std::to_string(s.student_id), s));
     }
     summary.leaderboard = rewards::build_leaderboard(std::move(rows));
     rewards::export_leaderboard_metrics(summary.leaderboard);

@@ -8,7 +8,7 @@ namespace {
 
 /// Fails loudly when a scenario the builder depends on was not produced by
 /// auto-segmentation (would indicate a detector regression).
-[[nodiscard]] Result<ScenarioId> scenario_by_name(const Project& p, const std::string& name) {
+Result<ScenarioId> scenario_by_name(const Project& p, const std::string& name) {
   const Scenario* s = p.graph.find_by_name(name);
   if (!s) return internal_error("expected scenario '" + name + "' after import");
   return s->id;

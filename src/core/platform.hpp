@@ -19,7 +19,7 @@
 namespace vgbl {
 
 /// Publishes a project into a loaded, playable bundle.
-[[nodiscard]] inline Result<std::shared_ptr<const GameBundle>> publish(
+inline Result<std::shared_ptr<const GameBundle>> publish(
     const Project& project, const BundleOptions& options) {
   auto bundle = build_and_load(project, options);
   if (!bundle.ok()) return bundle.error();
@@ -42,7 +42,7 @@ struct PlaythroughResult {
 
 /// Plays `script` against a fresh session of `bundle` on a simulated
 /// clock; convenience wrapper used by examples and integration tests.
-[[nodiscard]] Result<PlaythroughResult> play_scripted(
+Result<PlaythroughResult> play_scripted(
     std::shared_ptr<const GameBundle> bundle, const InputScript& script,
     SessionOptions options = SessionOptions{});
 

@@ -96,7 +96,7 @@ class QuizRunner {
 
   /// Answers the current question; returns whether it was correct.
   /// Fails when finished or the option index is out of range.
-  [[nodiscard]] Result<bool> answer(size_t option);
+  Result<bool> answer(size_t option);
 
   [[nodiscard]] QuizOutcome outcome() const;
 

@@ -33,7 +33,7 @@ enum class ActionType : u8 {
 };
 
 const char* action_type_name(ActionType type);
-[[nodiscard]] Result<ActionType> action_type_from_name(std::string_view name);
+Result<ActionType> action_type_from_name(std::string_view name);
 
 struct Action {
   ActionType type = ActionType::kShowMessage;

@@ -32,7 +32,7 @@ enum class ConditionOp : u8 {
 };
 
 const char* condition_op_name(ConditionOp op);
-[[nodiscard]] Result<ConditionOp> condition_op_from_name(std::string_view name);
+Result<ConditionOp> condition_op_from_name(std::string_view name);
 
 /// Expression tree with value semantics.
 struct Condition {

@@ -25,7 +25,7 @@ enum class TriggerType : u8 {
 };
 
 const char* trigger_type_name(TriggerType type);
-[[nodiscard]] Result<TriggerType> trigger_type_from_name(std::string_view name);
+Result<TriggerType> trigger_type_from_name(std::string_view name);
 
 /// Rule-side pattern. Unset fields (invalid ids / empty strings) are
 /// wildcards; e.g. a kClick trigger with an invalid object id fires on any

@@ -54,7 +54,7 @@ struct Program {
 
 /// Runs a program against a state view. Corrupt programs (stack underflow,
 /// bad jump target) return an error rather than UB.
-[[nodiscard]] Result<bool> run_program(const Program& program, const GameStateView& state);
+Result<bool> run_program(const Program& program, const GameStateView& state);
 
 /// Convenience wrapper owning a compiled program.
 class CompiledCondition {

@@ -50,7 +50,7 @@ class CellAllocator {
     cols_ = cols;
   }
 
-  [[nodiscard]] Result<Rect> take() {
+  Result<Rect> take() {
     if (next_ >= order_.size()) {
       return internal_error("generator: scenario object grid exhausted");
     }
@@ -1003,7 +1003,7 @@ GenParams corpus_course_params(u64 corpus_seed, int index) {
   return random_params(rng);
 }
 
-[[nodiscard]] Result<std::vector<GeneratedCourse>> generate_corpus(u64 seed, int count,
+Result<std::vector<GeneratedCourse>> generate_corpus(u64 seed, int count,
                                                      int worker_threads) {
   if (count < 0) return invalid_argument("corpus count must be >= 0");
   std::vector<GeneratedCourse> corpus(static_cast<size_t>(count));

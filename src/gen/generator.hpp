@@ -56,10 +56,10 @@ struct GenParams {
   int frame_height = 120;
 
   /// Shape sanity: every valid parameter set generates successfully.
-  [[nodiscard]] Status validate() const;
+  Status validate() const;
 
   [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<GenParams> from_json(const Json& json);
+  static Result<GenParams> from_json(const Json& json);
 
   bool operator==(const GenParams&) const = default;
 };
@@ -80,8 +80,7 @@ struct GeneratedCourse {
 /// Builds one course. Pure in (params, seed); fails only on invalid params
 /// or an internal construction bug (the generated project is lint-checked
 /// before returning, so callers can always bundle it).
-[[nodiscard]] Result<GeneratedCourse> generate_course(const GenParams& params,
-                                                      u64 seed);
+Result<GeneratedCourse> generate_course(const GenParams& params, u64 seed);
 
 /// Draws a heterogeneous-but-valid parameter set from `rng` — the corpus
 /// distribution used by `generate_corpus`, fuzz harnesses and benches.
@@ -97,7 +96,7 @@ struct GeneratedCourse {
 /// of (seed, index): the result is bit-identical across reruns and across
 /// `worker_threads` values (0 = sequential, N = thread pool fan-out into
 /// pre-allocated slots).
-[[nodiscard]] Result<std::vector<GeneratedCourse>> generate_corpus(
+Result<std::vector<GeneratedCourse>> generate_corpus(
     u64 seed, int count, int worker_threads = 0);
 
 /// Shrinking: given a failing (params, seed) and a predicate that re-runs
@@ -112,7 +111,7 @@ struct GeneratedCourse {
 /// Writes a one-command-reproducible failure dump (params + seed + failing
 /// property + serialized project text) to `dir/<property>_<seed>.json`.
 /// Returns the path written. Repro: `vgbl gen --repro <path>`.
-[[nodiscard]] Result<std::string> write_failure_dump(
+Result<std::string> write_failure_dump(
     const std::string& dir, const GeneratedCourse& course,
     const std::string& property);
 
@@ -123,6 +122,6 @@ struct FailureDump {
   std::string property;
   std::string project_text;
 };
-[[nodiscard]] Result<FailureDump> read_failure_dump(const std::string& path);
+Result<FailureDump> read_failure_dump(const std::string& path);
 
 }  // namespace vgbl::gen

@@ -100,7 +100,7 @@ class CombineTable {
   /// Applies a matching rule to the inventory: removes inputs (if
   /// consuming), adds the result. Fails when no rule matches or inventory
   /// constraints block the exchange; on failure the inventory is unchanged.
-  [[nodiscard]] Result<ItemId> combine(Inventory& inventory, ItemId a, ItemId b) const;
+  Result<ItemId> combine(Inventory& inventory, ItemId a, ItemId b) const;
 
  private:
   std::vector<CombineRule> rules_;

@@ -53,7 +53,7 @@ GopPlan plan_gops(const VideoContainer& container, int first, int count) {
   return plan;
 }
 
-[[nodiscard]] Result<std::vector<Frame>> decode_gop(const VideoContainer& container,
+Result<std::vector<Frame>> decode_gop(const VideoContainer& container,
                                       GopRange gop) {
   MediaMetrics& metrics = MediaMetrics::get();
   VGBL_SPAN("media.decode_gop");

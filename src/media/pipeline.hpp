@@ -34,7 +34,7 @@ struct GopPlan {
                                 int count);
 
 /// Decodes a frame range GOP-parallel. Frames return in presentation order.
-[[nodiscard]] Result<std::vector<Frame>> decode_range_parallel(const VideoContainer& container,
+Result<std::vector<Frame>> decode_range_parallel(const VideoContainer& container,
                                                  int first, int count,
                                                  ThreadPool& pool);
 

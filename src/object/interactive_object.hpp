@@ -23,7 +23,7 @@ enum class ObjectKind : u8 {
 };
 
 const char* object_kind_name(ObjectKind kind);
-[[nodiscard]] Result<ObjectKind> object_kind_from_name(std::string_view name);
+Result<ObjectKind> object_kind_from_name(std::string_view name);
 
 /// Where/when an object sits on its scenario's video.
 struct Placement {

@@ -51,7 +51,7 @@ class PropertyBag {
   }
 
   [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<PropertyBag> from_json(const Json& json);
+  static Result<PropertyBag> from_json(const Json& json);
 
   bool operator==(const PropertyBag&) const = default;
 

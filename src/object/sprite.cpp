@@ -155,7 +155,7 @@ Sprite Sprite::icon(const std::string& name, i32 size) {
 namespace vgbl {
 namespace {
 
-[[nodiscard]] Result<Size> parse_size(const std::string& token) {
+Result<Size> parse_size(const std::string& token) {
   const size_t x = token.find('x');
   if (x == std::string::npos) return corrupt_data("sprite spec: bad size '" + token + "'");
   const int w = std::atoi(token.substr(0, x).c_str());
@@ -166,7 +166,7 @@ namespace {
   return Size{w, h};
 }
 
-[[nodiscard]] Result<Color> parse_color(const std::string& token) {
+Result<Color> parse_color(const std::string& token) {
   int r = 0, g = 0, b = 0;
   if (std::sscanf(token.c_str(), "%d,%d,%d", &r, &g, &b) != 3 ||
       r < 0 || g < 0 || b < 0 || r > 255 || g > 255 || b > 255) {

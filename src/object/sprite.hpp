@@ -51,7 +51,7 @@ class Sprite {
   ///   "solid:<w>x<h>:<r>,<g>,<b>"
   ///   "button:<w>x<h>:<r>,<g>,<b>"
   ///   "" (empty sprite)
-  [[nodiscard]] static Result<Sprite> from_spec(const std::string& spec);
+  static Result<Sprite> from_spec(const std::string& spec);
 
   bool operator==(const Sprite&) const = default;
 

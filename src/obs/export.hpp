@@ -27,7 +27,7 @@ namespace vgbl::obs {
 
 /// Inverse of `to_json`. Typed kCorruptData errors on structural
 /// mismatches (so `vgbl metrics` rejects non-scrape JSON cleanly).
-[[nodiscard]] Result<MetricsSnapshot> snapshot_from_json(const Json& json);
+Result<MetricsSnapshot> snapshot_from_json(const Json& json);
 
 /// Table form for terminals: counters, gauges, then histograms with
 /// count/mean/p50/p99, prefixed by the subsystems present.

@@ -43,7 +43,7 @@ void write_step_payload(ByteWriter& w, const ScriptStep& s) {
   w.put_i32(s.point.y);
 }
 
-[[nodiscard]] Result<ScriptStep> read_step_payload(std::span<const u8> payload) {
+Result<ScriptStep> read_step_payload(std::span<const u8> payload) {
   ByteReader r(payload);
   auto op = r.u8_();
   if (!op.ok()) return op.error();
@@ -76,7 +76,7 @@ void write_step_payload(ByteWriter& w, const ScriptStep& s) {
   return s;
 }
 
-[[nodiscard]] Result<JournalRecord> decode_record(const LogRecord& log_record) {
+Result<JournalRecord> decode_record(const LogRecord& log_record) {
   JournalRecord record;
   if (log_record.kind == static_cast<u8>(JournalRecord::Kind::kStep)) {
     auto step = read_step_payload(log_record.payload);
@@ -110,7 +110,7 @@ void write_step_payload(ByteWriter& w, const ScriptStep& s) {
 
 /// Decodes every record of a parsed log, so damage anywhere in the
 /// journal is reported even when only its tail gets replayed.
-[[nodiscard]] Result<JournalContents> decode_journal(const ParsedRecordLog& log) {
+Result<JournalContents> decode_journal(const ParsedRecordLog& log) {
   JournalContents out;
   out.valid_bytes = log.valid_bytes;
   out.torn_tail = log.torn_tail;

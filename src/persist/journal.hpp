@@ -46,7 +46,7 @@ struct JournalRecord {
 class JournalWriter {
  public:
   /// Creates (or truncates) `path` and writes a fresh file header.
-  [[nodiscard]] static Result<JournalWriter> create(const std::string& path);
+  static Result<JournalWriter> create(const std::string& path);
 
   Status append_step(const ScriptStep& step);
   Status append_barrier(u64 snapshot_sequence, u64 step_count);
@@ -71,10 +71,10 @@ struct JournalContents {
 
 /// Parses journal bytes. Torn tails are trimmed (crash recovery); bad
 /// magic, version or CRC anywhere else returns a typed error.
-[[nodiscard]] Result<JournalContents> parse_journal(std::span<const u8> data);
+Result<JournalContents> parse_journal(std::span<const u8> data);
 
 /// Reads and parses a journal file. kNotFound when the file is absent.
-[[nodiscard]] Result<JournalContents> read_journal_file(const std::string& path);
+Result<JournalContents> read_journal_file(const std::string& path);
 
 /// Parses journal bytes and returns the steps to replay on top of a
 /// snapshot with `snapshot_sequence`: everything after the last barrier
@@ -83,7 +83,7 @@ struct JournalContents {
 /// between the snapshot rename and the journal compaction) or the journal
 /// belongs to an older generation; replaying would double-apply inputs.
 /// Errors as parse_journal.
-[[nodiscard]] Result<std::vector<ScriptStep>> steps_after_barrier(
+Result<std::vector<ScriptStep>> steps_after_barrier(
     std::span<const u8> data, u64 snapshot_sequence);
 
 }  // namespace vgbl

@@ -142,7 +142,7 @@ class SessionStore {
   /// session for `student_id`. Typed errors: kCorruptData for damaged
   /// snapshot/journal files, kFailedPrecondition when the stored session
   /// belongs to a different bundle, kIoError on filesystem failure.
-  [[nodiscard]] Result<std::unique_ptr<PersistedSession>> open_session(
+  Result<std::unique_ptr<PersistedSession>> open_session(
       std::shared_ptr<const GameBundle> bundle, const std::string& student_id);
 
   /// True when any persisted files exist for this student.

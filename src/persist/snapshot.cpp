@@ -42,7 +42,7 @@ void put_id_set(ByteWriter& w, const std::vector<u32>& sorted) {
   w.put_blob(std::move(bits).finish());
 }
 
-[[nodiscard]] Result<std::vector<u32>> get_id_set(ByteReader& r) {
+Result<std::vector<u32>> get_id_set(ByteReader& r) {
   auto blob = r.blob();
   if (!blob.ok()) return blob.error();
   BitReader bits(blob.value());
@@ -233,7 +233,7 @@ void write_rewards(ByteWriter& w, const rewards::EvaluatorState& s) {
   if (!var##_r.ok()) return var##_r.error(); \
   auto var = std::move(var##_r).value()
 
-[[nodiscard]] Result<u64> read_count(ByteReader& r, size_t per_element_floor) {
+Result<u64> read_count(ByteReader& r, size_t per_element_floor) {
   auto count = r.varint();
   if (!count.ok()) return count.error();
   if (per_element_floor > 0 &&
@@ -493,7 +493,7 @@ struct ParsedSections {
   std::vector<std::pair<u32, std::span<const u8>>> sections;
 };
 
-[[nodiscard]] Result<ParsedSections> parse_sections(std::span<const u8> data) {
+Result<ParsedSections> parse_sections(std::span<const u8> data) {
   ByteReader r(data);
   auto magic = r.u32_();
   if (!magic.ok() || magic.value() != kSnapshotMagic) {

@@ -44,7 +44,7 @@ struct DecodedSnapshot {
   SnapshotMeta meta;
   SessionState state;
 };
-[[nodiscard]] Result<DecodedSnapshot> decode_snapshot(std::span<const u8> data);
+Result<DecodedSnapshot> decode_snapshot(std::span<const u8> data);
 
 /// Shallow structural read for tooling (`vgbl inspect-snapshot`): header,
 /// metadata and the section table, without materialising the state.
@@ -59,6 +59,6 @@ struct SnapshotInfo {
   std::vector<SnapshotSectionInfo> sections;
   size_t total_bytes = 0;
 };
-[[nodiscard]] Result<SnapshotInfo> inspect_snapshot(std::span<const u8> data);
+Result<SnapshotInfo> inspect_snapshot(std::span<const u8> data);
 
 }  // namespace vgbl

@@ -62,7 +62,7 @@ struct JournalGrant {
   BadgeGrant grant;
 };
 
-[[nodiscard]] Result<JournalGrant> read_grant_payload(std::span<const u8> payload) {
+Result<JournalGrant> read_grant_payload(std::span<const u8> payload) {
   ByteReader r(payload);
   auto student = r.string();
   auto rule = r.u32_();
@@ -82,7 +82,7 @@ struct JournalGrant {
 }
 
 /// Decodes one non-barrier record of the badge journal.
-[[nodiscard]] Result<JournalGrant> read_grant_record(const LogRecord& record) {
+Result<JournalGrant> read_grant_record(const LogRecord& record) {
   if (record.kind != static_cast<u8>(RecordKind::kGrant)) {
     return corrupt_data("badge journal record at byte " +
                         std::to_string(record.offset) + " has unknown kind " +
@@ -99,8 +99,7 @@ struct JournalGrant {
 
 /// Creates (truncating) a fresh journal: header plus one barrier marking
 /// everything up to snapshot `sequence` as folded in.
-[[nodiscard]] Result<RecordLog> create_journal(const std::string& path,
-                                               u64 sequence) {
+Result<RecordLog> create_journal(const std::string& path, u64 sequence) {
   auto log = RecordLog::create(path, kJournalFormat);
   if (!log.ok()) return log.error();
   ByteWriter payload;
@@ -138,7 +137,7 @@ struct DecodedStoreSnapshot {
   std::vector<StudentBadges> students;
 };
 
-[[nodiscard]] Result<DecodedStoreSnapshot> decode_store_snapshot(std::span<const u8> data) {
+Result<DecodedStoreSnapshot> decode_store_snapshot(std::span<const u8> data) {
   auto sealed = sealed_file_body(data, kSnapshotFormat);
   if (!sealed.ok()) return sealed.error();
   const std::span<const u8> body = sealed.value();

@@ -80,8 +80,7 @@ class BadgeStore {
   /// Opens (creating the directory if needed) and recovers the store.
   /// Typed errors: kCorruptData for damaged files, kIoError on
   /// filesystem failure.
-  [[nodiscard]] static Result<std::unique_ptr<BadgeStore>> open(
-      BadgeStoreOptions options);
+  static Result<std::unique_ptr<BadgeStore>> open(BadgeStoreOptions options);
 
   BadgeStore(const BadgeStore&) = delete;
   BadgeStore& operator=(const BadgeStore&) = delete;
@@ -90,8 +89,8 @@ class BadgeStore {
   /// rule already has a grant for this student are skipped (badges are
   /// earned once, ever), so committing a resumed session's full log is
   /// idempotent. Returns the number of *new* grants applied.
-  [[nodiscard]] Result<u32> commit(const std::string& student_id,
-                                   std::span<const Unlock> unlocks)
+  Result<u32> commit(const std::string& student_id,
+                     std::span<const Unlock> unlocks)
       VGBL_EXCLUDES(journal_mutex_);
 
   /// Copy of the student's record (empty record when unknown).
@@ -103,7 +102,7 @@ class BadgeStore {
   [[nodiscard]] size_t student_count() const;
 
   /// Snapshots every record and compacts the journal.
-  [[nodiscard]] Status checkpoint() VGBL_EXCLUDES(journal_mutex_);
+  Status checkpoint() VGBL_EXCLUDES(journal_mutex_);
 
   /// Sequence of the latest snapshot on disk (0: none yet).
   [[nodiscard]] u64 sequence() const VGBL_EXCLUDES(journal_mutex_);

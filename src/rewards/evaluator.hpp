@@ -134,7 +134,7 @@ class RewardEvaluator {
   [[nodiscard]] const EvaluatorState& state() const { return state_; }
   /// Restores captured state. Fails when the state's per-rule vectors do
   /// not match this evaluator's rule set (wrong rule set for the save).
-  [[nodiscard]] Status restore_state(EvaluatorState state);
+  Status restore_state(EvaluatorState state);
 
  private:
   void unlock(size_t index, MicroTime now);
@@ -152,7 +152,6 @@ class RewardEvaluator {
 [[nodiscard]] Bytes encode_unlock_log(const std::vector<Unlock>& unlocks);
 
 /// Decodes encode_unlock_log bytes (store inspection, tests).
-[[nodiscard]] Result<std::vector<Unlock>> decode_unlock_log(
-    std::span<const u8> data);
+Result<std::vector<Unlock>> decode_unlock_log(std::span<const u8> data);
 
 }  // namespace vgbl::rewards

@@ -62,8 +62,7 @@ class RewardRuleSet {
  public:
   /// Validates and adopts `rules`. Fails on duplicate/zero ids, empty
   /// badges, non-positive thresholds, or streak rules without a window.
-  [[nodiscard]] static Result<RewardRuleSet> create(
-      std::vector<RewardRule> rules);
+  static Result<RewardRuleSet> create(std::vector<RewardRule> rules);
 
   /// The built-in rule set exercised by the demo bundles and the
   /// `vgbl classroom --rewards` CLI: one badge per §3.3 reward archetype.

@@ -144,7 +144,7 @@ const char* op_name(ScriptStep::Op op) {
   return "?";
 }
 
-[[nodiscard]] Result<ScriptStep::Op> op_from_name(const std::string& name) {
+Result<ScriptStep::Op> op_from_name(const std::string& name) {
   for (u8 i = 0; i <= static_cast<u8>(ScriptStep::Op::kClickPoint); ++i) {
     const auto op = static_cast<ScriptStep::Op>(i);
     if (name == op_name(op)) return op;

@@ -47,6 +47,6 @@ class SessionRecorder {
 
 /// Script (de)serialization — recordings are stored/sent as JSON.
 [[nodiscard]] Json script_to_json(const InputScript& script);
-[[nodiscard]] Result<InputScript> script_from_json(const Json& json);
+Result<InputScript> script_from_json(const Json& json);
 
 }  // namespace vgbl

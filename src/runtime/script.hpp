@@ -124,8 +124,8 @@ class ScriptRunner {
 
  private:
   /// Canvas-space centre of a named visible object in the current scenario.
-  [[nodiscard]] Result<Point> locate(const std::string& object_name) const;
-  [[nodiscard]] Result<ItemId> item_by_name(const std::string& name) const;
+  Result<Point> locate(const std::string& object_name) const;
+  Result<ItemId> item_by_name(const std::string& name) const;
 
   GameSession* session_;
   SimClock* clock_;
@@ -154,8 +154,9 @@ BotResult run_bot(GameSession& session, SimClock& clock, BotPolicy policy,
 /// a time so a discrete-event scheduler (src/sim) can interleave thousands
 /// of students on a single timeline. `run_bot` itself is implemented on
 /// this driver, which keeps the blocking path and the event-stream path
-/// step-for-step identical by construction — the differential-testing
-/// contract behind the DES classroom engine (DESIGN.md §5i).
+/// step-for-step identical by construction. The per-seed golden classroom
+/// pins (tests/classroom_differential_test.cpp, DESIGN.md §5i) hold the
+/// event-stream path's results fixed.
 class BotDriver {
  public:
   BotDriver(GameSession& session, SimClock& clock, BotPolicy policy,

@@ -1,6 +1,5 @@
 #include "sim/classroom_des.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/classroom_engine.hpp"
@@ -31,8 +30,8 @@ GameSession& StudentActor::active_session() const {
 }
 
 void StudentActor::abandon() {
-  // Session open/start failed: the slot stays nullopt (skipped student,
-  // same as the legacy engine) and all session state is released now.
+  // Session open/start failed: the slot stays nullopt (skipped student)
+  // and all session state is released now.
   driver_.reset();
   persisted_.reset();
   session_.reset();
@@ -63,8 +62,8 @@ void StudentActor::begin(Context& ctx) {
                                           bot_seed_);
     phase_ = Phase::kPlay;
   } else {
-    // Store-backed run, first half: fresh session through the store (the
-    // legacy engine's remove + open), clock at zero like the timeline.
+    // Store-backed run, first half: fresh session through the store
+    // (remove + open), clock at zero like the timeline.
     (void)options_->store->remove_session(student_name());
     auto opened = options_->store->open_session(bundle_, student_name());
     if (!opened.ok()) {
@@ -81,9 +80,9 @@ void StudentActor::begin(Context& ctx) {
 }
 
 void StudentActor::suspend_and_resume(Context& ctx) {
-  // Mirrors the legacy store path exactly: checkpoint, tear the live
-  // session down, reopen from disk, then (unless already complete) spend
-  // the remaining budget under bot_seed + 1. The restored clock continues
+  // Checkpoint, tear the live session down, reopen from disk, then
+  // (unless already complete) spend the remaining budget under
+  // bot_seed + 1. The restored clock continues
   // at the checkpointed sim time, which *is* the current timeline time —
   // suspension consumes no sim time.
   first_half_ = driver_->result();
@@ -188,28 +187,6 @@ void StudentActor::on_event(Context& ctx) {
   if (timed && phase_ != Phase::kDone) {
     wall_us_ += obs::wall_now_us() - t0_us;
   }
-}
-
-void run_classroom_des(const std::shared_ptr<const GameBundle>& bundle,
-                       const ClassroomOptions& options,
-                       std::vector<std::optional<StudentResult>>& results) {
-  const int count = std::max(0, options.student_count);
-  SchedulerOptions sched;
-  sched.shards = options.des_shards > 0
-                     ? static_cast<u32>(options.des_shards)
-                     : static_cast<u32>(std::max(1, options.worker_threads));
-  sched.worker_threads = options.worker_threads;
-  Scheduler scheduler(sched);
-
-  std::vector<std::unique_ptr<StudentActor>> actors;
-  actors.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    actors.push_back(std::make_unique<StudentActor>(
-        bundle, options, i, &results[static_cast<size_t>(i)]));
-    const ActorId id = scheduler.add_actor(actors.back().get());
-    scheduler.schedule(id, 0);
-  }
-  (void)scheduler.run();
 }
 
 }  // namespace vgbl::sim

@@ -198,14 +198,10 @@ Result<DistrictSummary> run_district(std::shared_ptr<const GameBundle> bundle,
       const ClassroomSummary& summary =
           out.classrooms[static_cast<size_t>(c)].summary;
       for (const StudentResult& s : summary.students) {
-        rewards::LeaderboardRow row;
-        row.student_id = "c" + std::to_string(c + 1) + "/student-" +
-                         std::to_string(s.student_id);
-        row.badges = static_cast<int>(s.unlocks.size());
-        row.badge_points = s.badge_points;
-        row.score = s.score - s.badge_points;
-        for (const auto& u : s.unlocks) row.badge_names.push_back(u.badge);
-        district_rows.push_back(std::move(row));
+        district_rows.push_back(classroom_engine::leaderboard_row(
+            "c" + std::to_string(c + 1) + "/student-" +
+                std::to_string(s.student_id),
+            s));
       }
     }
     out.leaderboard = rewards::build_leaderboard(std::move(district_rows));

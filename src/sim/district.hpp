@@ -94,7 +94,7 @@ struct DistrictSummary {
 /// on setup problems — a persist directory that cannot be created, a badge
 /// store that cannot open; individual students that fail to start are
 /// skipped exactly as in simulate_classroom.
-[[nodiscard]] Result<DistrictSummary> run_district(std::shared_ptr<const GameBundle> bundle,
+Result<DistrictSummary> run_district(std::shared_ptr<const GameBundle> bundle,
                                      const DistrictOptions& options);
 
 }  // namespace vgbl::sim

@@ -74,7 +74,7 @@ class BitReader {
   explicit BitReader(std::span<const u8> data) : data_(data) {}
 
   /// Reads `count` bits (MSB-first); fails on stream exhaustion.
-  [[nodiscard]] Result<u64> bits(int count) {
+  Result<u64> bits(int count) {
     if (count <= 0) return u64{0};
     if (count > 57) {  // split so the accumulator cannot overflow
       auto hi = bits(count - 32);
@@ -89,14 +89,14 @@ class BitReader {
     return (acc_ >> acc_bits_) & mask(count);
   }
 
-  [[nodiscard]] Result<bool> bit() {
+  Result<bool> bit() {
     refill();
     if (acc_bits_ == 0) return exhausted();
     --acc_bits_;
     return ((acc_ >> acc_bits_) & 1) != 0;
   }
 
-  [[nodiscard]] Result<u32> ue() {
+  Result<u32> ue() {
     refill();
     const int avail = acc_bits_;
     const u64 window = avail == 0 ? 0 : acc_ << (64 - avail);
@@ -112,7 +112,7 @@ class BitReader {
     return static_cast<u32>(x - 1);
   }
 
-  [[nodiscard]] Result<i32> se() {
+  Result<i32> se() {
     auto z = ue();
     if (!z.ok()) return z.error();
     const u32 u = z.value();

@@ -98,22 +98,22 @@ class ByteReader {
   [[nodiscard]] size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
 
-  [[nodiscard]] Result<u8> u8_() { return get_le<u8>(); }
-  [[nodiscard]] Result<u16> u16_() { return get_le<u16>(); }
-  [[nodiscard]] Result<u32> u32_() { return get_le<u32>(); }
-  [[nodiscard]] Result<u64> u64_() { return get_le<u64>(); }
-  [[nodiscard]] Result<i32> i32_() {
+  Result<u8> u8_() { return get_le<u8>(); }
+  Result<u16> u16_() { return get_le<u16>(); }
+  Result<u32> u32_() { return get_le<u32>(); }
+  Result<u64> u64_() { return get_le<u64>(); }
+  Result<i32> i32_() {
     auto r = get_le<u32>();
     if (!r.ok()) return r.error();
     return static_cast<i32>(r.value());
   }
-  [[nodiscard]] Result<i64> i64_() {
+  Result<i64> i64_() {
     auto r = get_le<u64>();
     if (!r.ok()) return r.error();
     return static_cast<i64>(r.value());
   }
 
-  [[nodiscard]] Result<f64> f64_() {
+  Result<f64> f64_() {
     auto r = u64_();
     if (!r.ok()) return r.error();
     f64 v;
@@ -122,7 +122,7 @@ class ByteReader {
     return v;
   }
 
-  [[nodiscard]] Result<u64> varint() {
+  Result<u64> varint() {
     u64 v = 0;
     int shift = 0;
     while (true) {
@@ -137,14 +137,14 @@ class ByteReader {
     }
   }
 
-  [[nodiscard]] Result<i64> svarint() {
+  Result<i64> svarint() {
     auto r = varint();
     if (!r.ok()) return r.error();
     const u64 u = r.value();
     return static_cast<i64>((u >> 1) ^ (~(u & 1) + 1));
   }
 
-  [[nodiscard]] Result<std::string> string() {
+  Result<std::string> string() {
     auto len = varint();
     if (!len.ok()) return len.error();
     if (len.value() > remaining()) return truncated();
@@ -154,7 +154,7 @@ class ByteReader {
     return s;
   }
 
-  [[nodiscard]] Result<Bytes> blob() {
+  Result<Bytes> blob() {
     auto len = varint();
     if (!len.ok()) return len.error();
     if (len.value() > remaining()) return truncated();
@@ -165,20 +165,20 @@ class ByteReader {
   }
 
   /// A non-owning view of the next `n` bytes, advancing past them.
-  [[nodiscard]] Result<std::span<const u8>> view(size_t n) {
+  Result<std::span<const u8>> view(size_t n) {
     if (n > remaining()) return truncated();
     auto s = data_.subspan(pos_, n);
     pos_ += n;
     return s;
   }
 
-  [[nodiscard]] Status skip(size_t n) {
+  Status skip(size_t n) {
     if (n > remaining()) return truncated();
     pos_ += n;
     return {};
   }
 
-  [[nodiscard]] Status seek(size_t absolute) {
+  Status seek(size_t absolute) {
     if (absolute > data_.size()) return truncated();
     pos_ = absolute;
     return {};
@@ -188,7 +188,7 @@ class ByteReader {
   static Error truncated() { return corrupt_data("unexpected end of data"); }
 
   template <typename T>
-  [[nodiscard]] Result<T> get_le() {
+  Result<T> get_le() {
     if (sizeof(T) > remaining()) return truncated();
     T v = 0;
     for (size_t i = 0; i < sizeof(T); ++i)

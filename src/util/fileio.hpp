@@ -18,11 +18,11 @@ namespace vgbl {
                                const std::string& path);
 
 /// Reads a whole file. kNotFound when absent, kIoError on read failure.
-[[nodiscard]] Result<Bytes> read_binary_file(const std::string& path);
+Result<Bytes> read_binary_file(const std::string& path);
 
 /// Writes `data` atomically: to `path + ".tmp"`, then rename over `path`.
 /// Readers therefore never observe a half-written file.
-[[nodiscard]] Status write_binary_file_atomic(const std::string& path,
-                                              std::span<const u8> data);
+Status write_binary_file_atomic(const std::string& path,
+                                std::span<const u8> data);
 
 }  // namespace vgbl

@@ -67,7 +67,7 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  [[nodiscard]] Result<Json> parse() {
+  Result<Json> parse() {
     auto v = value(0);
     if (!v.ok()) return v;
     skip_ws();
@@ -78,7 +78,7 @@ class Parser {
  private:
   static constexpr int kMaxDepth = 128;
 
-  [[nodiscard]] Result<Json> value(int depth) {
+  Result<Json> value(int depth) {
     if (depth > kMaxDepth) return fail("nesting too deep");
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
@@ -104,13 +104,13 @@ class Parser {
     }
   }
 
-  [[nodiscard]] Result<Json> literal(std::string_view word, Json result) {
+  Result<Json> literal(std::string_view word, Json result) {
     if (text_.substr(pos_, word.size()) != word) return fail("invalid literal");
     pos_ += word.size();
     return result;
   }
 
-  [[nodiscard]] Result<Json> object(int depth) {
+  Result<Json> object(int depth) {
     ++pos_;  // '{'
     JsonObject obj;
     skip_ws();
@@ -143,7 +143,7 @@ class Parser {
     }
   }
 
-  [[nodiscard]] Result<Json> array(int depth) {
+  Result<Json> array(int depth) {
     ++pos_;  // '['
     JsonArray arr;
     skip_ws();
@@ -169,7 +169,7 @@ class Parser {
     }
   }
 
-  [[nodiscard]] Result<std::string> string() {
+  Result<std::string> string() {
     ++pos_;  // opening quote
     std::string out;
     while (true) {
@@ -242,7 +242,7 @@ class Parser {
     }
   }
 
-  [[nodiscard]] Result<Json> number() {
+  Result<Json> number() {
     const size_t start = pos_;
     bool is_double = false;
     if (peek() == '-') ++pos_;

@@ -105,7 +105,7 @@ class Json {
   [[nodiscard]] std::string dump(int indent = 2) const;
 
   /// Parses a JSON document; reports line/column on failure.
-  [[nodiscard]] static Result<Json> parse(std::string_view text);
+  static Result<Json> parse(std::string_view text);
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;

@@ -54,7 +54,7 @@ inline constexpr u8 kBarrierRecord = 2;
 
 /// The body of a sealed file, viewing `data`. kCorruptData for a bad
 /// header (as parse_record_log), a truncated file or a body CRC mismatch.
-[[nodiscard]] Result<std::span<const u8>> sealed_file_body(
+Result<std::span<const u8>> sealed_file_body(
     std::span<const u8> data, const RecordFormat& format);
 
 struct LogRecord {
@@ -73,7 +73,7 @@ struct ParsedRecordLog {
 
 /// Parses log bytes. Payloads view `data`, which must outlive the result.
 /// A barrier whose payload does not start with a varint is kCorruptData.
-[[nodiscard]] Result<ParsedRecordLog> parse_record_log(
+Result<ParsedRecordLog> parse_record_log(
     std::span<const u8> data, const RecordFormat& format);
 
 /// Index of the last barrier whose sequence equals `sequence`; nullopt
@@ -87,12 +87,12 @@ struct ParsedRecordLog {
 class RecordLog {
  public:
   /// Creates (or truncates) `path` with a fresh header.
-  [[nodiscard]] static Result<RecordLog> create(const std::string& path,
-                                                const RecordFormat& format);
+  static Result<RecordLog> create(const std::string& path,
+                                  const RecordFormat& format);
   /// Opens the existing log at `path`, whose contents parsed as `parsed`,
   /// for appending. A torn tail is trimmed first, so the next record
   /// starts at a clean boundary instead of being glued onto half of one.
-  [[nodiscard]] static Result<RecordLog> open_existing(
+  static Result<RecordLog> open_existing(
       const std::string& path, const ParsedRecordLog& parsed);
 
   /// Appends one framed record and flushes it.
@@ -108,8 +108,7 @@ class RecordLog {
 
   RecordLog(std::FILE* file, std::string path, u64 size)
       : file_(file), path_(std::move(path)), bytes_written_(size) {}
-  [[nodiscard]] static Result<RecordLog> open_append(const std::string& path,
-                                                     u64 size);
+  static Result<RecordLog> open_append(const std::string& path, u64 size);
 
   std::unique_ptr<std::FILE, Closer> file_;
   std::string path_;

@@ -1,6 +1,10 @@
 // Lightweight error handling: `Error` (code + human message) and
 // `Result<T>` (value-or-error). Used instead of exceptions on all fallible
 // library boundaries, per the project's no-exceptions-on-hot-paths rule.
+// `Result` and `Status` are [[nodiscard]] at class level, so every function
+// returning one by value is too; the root CMakeLists.txt builds with
+// -Werror=unused-result, which makes a dropped error path a compile error.
+// Discard deliberately with `(void)`.
 #pragma once
 
 #include <cassert>
@@ -44,7 +48,7 @@ struct Error {
 /// Value-or-error. `ok()` must be checked before `value()`; accessing the
 /// wrong alternative asserts in debug builds.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   Result(T value) : data_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
   Result(Error err) : data_(std::move(err)) {}  // NOLINT(google-explicit-constructor)
@@ -80,7 +84,7 @@ class Result {
 };
 
 /// Result specialisation for operations with no payload.
-class Status {
+class [[nodiscard]] Status {
  public:
   Status() = default;                                 // success
   Status(Error err) : error_(std::move(err)), failed_(true) {}  // NOLINT

@@ -49,7 +49,7 @@ struct AudioBuffer {
 
 /// Decodes an adpcm_encode stream. `sample_rate` is carried externally
 /// (the container header).
-[[nodiscard]] Result<AudioBuffer> adpcm_decode(std::span<const u8> data, int sample_rate);
+Result<AudioBuffer> adpcm_decode(std::span<const u8> data, int sample_rate);
 
 /// Signal-to-noise ratio of a decoded buffer vs the original, in dB.
 [[nodiscard]] f64 audio_snr(const AudioBuffer& original,

@@ -284,7 +284,7 @@ struct ParsedFrame {
 
 /// Parses and validates a frame header. The payload stays a view into
 /// `data` — no copy — so `data` must outlive the returned struct.
-[[nodiscard]] Result<ParsedFrame> parse_frame(std::span<const u8> data) {
+Result<ParsedFrame> parse_frame(std::span<const u8> data) {
   ByteReader r(data);
   auto magic = r.u8_();
   if (!magic.ok() || magic.value() != kFrameMagic) {

@@ -49,7 +49,7 @@ class Encoder {
 
   /// Encodes the next frame. All frames of a stream must share dimensions
   /// and format; violations return kInvalidArgument.
-  [[nodiscard]] Result<EncodedFrame> encode(const Frame& frame);
+  Result<EncodedFrame> encode(const Frame& frame);
 
   /// Forces the next frame to be a keyframe (used at segment boundaries so
   /// every scenario starts seekable).
@@ -76,7 +76,7 @@ class Decoder {
  public:
   Decoder() = default;
 
-  [[nodiscard]] Result<Frame> decode(std::span<const u8> data);
+  Result<Frame> decode(std::span<const u8> data);
 
   /// Decodes a run of consecutive frames, appending to `out`. Equivalent to
   /// calling decode() per frame, but prediction chains through the frames
@@ -114,11 +114,11 @@ struct EncodedStream {
   }
 };
 
-[[nodiscard]] Result<EncodedStream> encode_stream(const std::vector<Frame>& frames,
+Result<EncodedStream> encode_stream(const std::vector<Frame>& frames,
                                     const CodecConfig& config, int fps = 24,
                                     const std::vector<int>& segment_starts = {});
 
 /// Decodes the entire stream back to frames.
-[[nodiscard]] Result<std::vector<Frame>> decode_stream(const EncodedStream& stream);
+Result<std::vector<Frame>> decode_stream(const EncodedStream& stream);
 
 }  // namespace vgbl

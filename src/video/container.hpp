@@ -44,7 +44,7 @@ inline Bytes mux_container(const EncodedStream& stream,
 class VideoContainer {
  public:
   /// Parses and validates (magic, version, CRC, index consistency).
-  [[nodiscard]] static Result<VideoContainer> parse(Bytes data);
+  static Result<VideoContainer> parse(Bytes data);
 
   [[nodiscard]] i32 width() const { return width_; }
   [[nodiscard]] i32 height() const { return height_; }
@@ -66,7 +66,7 @@ class VideoContainer {
       std::string_view name) const;
 
   /// Encoded payload of frame `i`.
-  [[nodiscard]] Result<std::span<const u8>> frame_data(int i) const;
+  Result<std::span<const u8>> frame_data(int i) const;
   [[nodiscard]] bool is_keyframe(int i) const {
     return i >= 0 && i < frame_count() && index_[static_cast<size_t>(i)].keyframe;
   }
@@ -107,10 +107,10 @@ class VideoReader {
   [[nodiscard]] const VideoContainer& container() const { return container_; }
 
   /// Decodes frame `i` (0-based presentation order).
-  [[nodiscard]] Result<Frame> read_frame(int i);
+  Result<Frame> read_frame(int i);
 
   /// First frame of a segment — the scenario-switch entry point.
-  [[nodiscard]] Result<Frame> read_segment_start(SegmentId id);
+  Result<Frame> read_segment_start(SegmentId id);
 
   /// Decode statistics for benchmarking.
   struct Stats {
@@ -121,7 +121,7 @@ class VideoReader {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  [[nodiscard]] Result<Frame> decode_at(int i);
+  Result<Frame> decode_at(int i);
 
   VideoContainer container_;
   Decoder decoder_;

@@ -1,6 +1,6 @@
 // Fixture: ambient randomness + wall-clock inside the course generator —
-// must fire gen-generator-determinism (and only it; the plain determinism
-// rules do not cover src/gen).
+// must fire determinism-random and determinism-wallclock (and only those:
+// src/gen is in the dirs of the plain determinism rules).
 #include <chrono>
 #include <random>
 

@@ -338,8 +338,6 @@ std::optional<RuleSet> parse_rules(const std::string& text,
         rule.taint = true;
       } else if (tokens[1] == "lock-order") {
         rule.lock_order = true;
-      } else if (tokens[1] == "nodiscard-result") {
-        rule.nodiscard_result = true;
       } else {
         return fail("unknown builtin '" + tokens[1] + "'");
       }
@@ -505,7 +503,7 @@ std::vector<Finding> lint_tree(const std::vector<SourceFile>& files,
   const auto scan_start = std::chrono::steady_clock::now();
   const bool cross_tu =
       std::any_of(rules.rules.begin(), rules.rules.end(), [](const Rule& r) {
-        return r.taint || r.lock_order || r.nodiscard_result;
+        return r.taint || r.lock_order;
       });
 
   // Deterministic path order, independent of input order and scan
@@ -582,18 +580,6 @@ std::vector<Finding> lint_tree(const std::vector<SourceFile>& files,
       config.order = rule.order;
       config.require_facts = options.require_facts;
       run_lock_order(index, config, &findings);
-    }
-    if (rule.nodiscard_result) {
-      for (const auto& [name, sym] : index.symbols) {
-        if (!sym.returns_result || sym.has_nodiscard) continue;
-        if (!rule.applies_to(sym.result_decl_file)) continue;
-        findings.push_back(
-            {sym.result_decl_file, sym.result_decl_line, rule.id,
-             "'" + sym.qualified +
-                 "' returns Result<...> but no declaration carries "
-                 "[[nodiscard]]: " +
-                 rule.message});
-      }
     }
   }
   if (options.analyze_seconds != nullptr) {

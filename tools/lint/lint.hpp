@@ -44,9 +44,8 @@ struct Rule {
   bool include_hygiene = false;    // builtin: pragma once + parent includes
   bool naked_new = false;          // builtin: naked new/delete expressions
   // Cross-TU builtins (run by lint_tree over the merged symbol index).
-  bool taint = false;             // builtin: determinism taint propagation
-  bool lock_order = false;        // builtin: acquired-before cycle check
-  bool nodiscard_result = false;  // builtin: [[nodiscard]] on Result<T> APIs
+  bool taint = false;       // builtin: determinism taint propagation
+  bool lock_order = false;  // builtin: acquired-before cycle check
   std::vector<std::string> sinks;          // `sink`: qualified suffixes
   std::vector<std::string> sources;        // `source`: taint token patterns
   std::vector<std::string> allow_symbols;  // `allow-symbol`: trusted symbols
@@ -98,9 +97,9 @@ struct CrossTuOptions {
 };
 
 /// Full two-pass lint over a set of files: per-file rules plus the
-/// cross-TU builtins (taint, lock-order, nodiscard-result) on the merged
-/// symbol index. Findings come back sorted by (file, line, rule, message)
-/// regardless of scan parallelism.
+/// cross-TU builtins (taint, lock-order) on the merged symbol index.
+/// Findings come back sorted by (file, line, rule, message) regardless of
+/// scan parallelism.
 std::vector<Finding> lint_tree(const std::vector<SourceFile>& files,
                                const RuleSet& rules,
                                const CrossTuOptions& options = {});

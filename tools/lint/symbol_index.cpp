@@ -259,7 +259,6 @@ class Parser {
   // --- top-level (namespace / class body) parsing ---------------------------
 
   void parse_scope() {
-    size_t stmt_start = i_;
     while (!at_end()) {
       if (is("}")) {
         ++i_;
@@ -267,14 +266,12 @@ class Parser {
       }
       if (is(";")) {
         ++i_;
-        stmt_start = i_;
         continue;
       }
       if (is("{")) {
         // Brace at declaration scope: aggregate initializer or stray
         // block; consume it blind.
         i_ = skip_matched(i_, '{', '}');
-        stmt_start = i_;
         continue;
       }
       if (!tok().ident) {
@@ -284,22 +281,18 @@ class Parser {
       const std::string& word = tok().text;
       if (word == "namespace") {
         parse_namespace();
-        stmt_start = i_;
         continue;
       }
       if (word == "class" || word == "struct" || word == "union" ||
           word == "enum") {
-        if (parse_class_like()) {
-          stmt_start = i_;
-          continue;
-        }
+        if (parse_class_like()) continue;
         // `struct X* p` / elaborated type in a declaration: fall through.
       }
       if (word == "template") {
         ++i_;
         size_t end = 0;
         if (is("<") && match_angles(i_, &end)) i_ = end;
-        continue;  // keep stmt_start: attributes precede the template
+        continue;
       }
       if (word == "using" || word == "typedef" || word == "static_assert") {
         while (!at_end() && !is(";")) {
@@ -318,13 +311,9 @@ class Parser {
       if ((word == "public" || word == "private" || word == "protected") &&
           is(":", 1)) {
         i_ += 2;
-        stmt_start = i_;
         continue;
       }
-      if (try_function(stmt_start)) {
-        stmt_start = i_;
-        continue;
-      }
+      if (try_function()) continue;
       ++i_;
     }
   }
@@ -419,23 +408,10 @@ class Parser {
     return true;
   }
 
-  /// Scans [begin, end) for `Result` followed by `<` / a `nodiscard`
-  /// attribute token.
-  void scan_decl_region(size_t begin, size_t end, bool* returns_result,
-                        bool* has_nodiscard) const {
-    for (size_t i = begin; i < end && i < t_.size(); ++i) {
-      if (t_[i].text == "Result" && i + 1 < t_.size() &&
-          t_[i + 1].text == "<") {
-        *returns_result = true;
-      }
-      if (t_[i].text == "nodiscard") *has_nodiscard = true;
-    }
-  }
-
   /// Attempts to parse a function declaration or definition whose name
   /// chain starts at i_. Returns true when tokens were consumed (function
   /// recorded, macro skipped, or a non-function construct stepped over).
-  bool try_function(size_t stmt_start) {
+  bool try_function() {
     const size_t start = i_;
     std::vector<std::string> chain = read_chain();
     if (chain.empty()) return false;
@@ -466,10 +442,6 @@ class Parser {
         return true;
       }
     }
-
-    bool returns_result = false;
-    bool has_nodiscard = false;
-    scan_decl_region(stmt_start, start, &returns_result, &has_nodiscard);
 
     const std::string cls = chain.size() > 1
                                 ? [&] {
@@ -508,14 +480,10 @@ class Parser {
         continue;
       }
       if (pt.text == "->") {
-        // Trailing return type: scan it for Result<...>.
+        // Trailing return type: step over it to the body or `;`.
         ++j;
         while (j < t_.size() && t_[j].text != "{" && t_[j].text != ";" &&
                t_[j].text != "=") {
-          if (t_[j].text == "Result" && j + 1 < t_.size() &&
-              t_[j + 1].text == "<") {
-            returns_result = true;
-          }
           if (t_[j].text == "(") {
             j = skip_matched(j, '(', ')');
             continue;
@@ -607,12 +575,6 @@ class Parser {
     }
     rec.file = path_;
     rec.line = t_[start].line;
-    rec.returns_result = returns_result;
-    rec.has_nodiscard = has_nodiscard;
-    if (returns_result) {
-      rec.result_decl_file = path_;
-      rec.result_decl_line = t_[start].line;
-    }
     rec.requires_locks = requires_locks;
     rec.acquires = std::move(annot_acquires);
 
@@ -798,12 +760,6 @@ void merge_index(FileIndex&& file, SymbolIndex* index) {
     sym.bodies.insert(sym.bodies.end(),
                       std::make_move_iterator(rec.bodies.begin()),
                       std::make_move_iterator(rec.bodies.end()));
-    if (rec.returns_result && !sym.returns_result) {
-      sym.returns_result = true;
-      sym.result_decl_file = rec.result_decl_file;
-      sym.result_decl_line = rec.result_decl_line;
-    }
-    sym.has_nodiscard = sym.has_nodiscard || rec.has_nodiscard;
   }
 }
 

@@ -61,12 +61,6 @@ struct Symbol {
   std::vector<LockAcquire> acquires;  ///< direct acquisitions across bodies
   std::vector<std::string> requires_locks;  ///< VGBL_REQUIRES at any decl
   std::vector<BodyRange> bodies;      ///< for taint-token scanning
-  /// nodiscard-result rule inputs: does any declaration return Result<T>,
-  /// and does any declaration carry [[nodiscard]]?
-  bool returns_result = false;
-  bool has_nodiscard = false;
-  std::string result_decl_file;  ///< first Result<>-returning decl site
-  int result_decl_line = 0;
 };
 
 /// Everything pass 1 extracted from one file. Standalone so files can be

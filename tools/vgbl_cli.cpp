@@ -14,7 +14,7 @@
 //   vgbl classroom <bundle.vgblb> [students] [max_steps] [--threads N]
 //                  [--seed S] [--store <dir>] [--stream] [--fault <profile>]
 //                  [--metrics-out <file.json|file.prom>]
-//                  [--rewards] [--badge-store <dir>]
+//                  [--rewards] [--badge-store <dir>] [--shards N]
 //   vgbl district <bundle.vgblb> [--classrooms N] [--students M] [--steps K]
 //                 [--seed S] [--threads T] [--shards N] [--stream]
 //                 [--clients C] [--fault <profile>] [--rewards]
@@ -51,7 +51,7 @@ namespace {
 
 using namespace vgbl;
 
-[[nodiscard]] Result<std::string> read_file(const std::string& path) {
+Result<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return io_error("cannot open '" + path + "'");
   std::ostringstream ss;
@@ -66,13 +66,13 @@ Status write_file(const std::string& path, const void* data, size_t size) {
   return out.good() ? Status{} : Status(io_error("write failed for '" + path + "'"));
 }
 
-[[nodiscard]] Result<Project> load_project_file(const std::string& path) {
+Result<Project> load_project_file(const std::string& path) {
   auto text = read_file(path);
   if (!text.ok()) return text.error();
   return load_project_text(text.value());
 }
 
-[[nodiscard]] Result<GameBundle> load_bundle_file(const std::string& path) {
+Result<GameBundle> load_bundle_file(const std::string& path) {
   auto data = read_file(path);
   if (!data.ok()) return data.error();
   Bytes bytes(data.value().begin(), data.value().end());
@@ -349,8 +349,6 @@ int cmd_classroom(const std::string& path,
       options.seed = std::strtoull(rest[++i].c_str(), nullptr, 10);
     } else if (a == "--shards" && i + 1 < rest.size()) {
       options.des_shards = std::atoi(rest[++i].c_str());
-    } else if (a == "--legacy") {
-      options.engine = ClassroomEngine::kLegacyThreads;
     } else if (a == "--store" && i + 1 < rest.size()) {
       store_dir = rest[++i];
     } else if (a == "--rewards") {
@@ -365,6 +363,11 @@ int cmd_classroom(const std::string& path,
     } else if (a == "--fault" && i + 1 < rest.size()) {
       fault_profile = rest[++i];
       stream = true;  // a fault profile only makes sense when streaming
+    } else if (a.starts_with("--")) {
+      // An unknown (or value-less) flag must not fall through to the
+      // positional counts, where atoi would read it as 0.
+      std::fprintf(stderr, "unexpected argument '%s'\n", a.c_str());
+      return 64;
     } else if (positional == 0) {
       options.student_count = std::atoi(a.c_str());
       ++positional;
@@ -693,7 +696,7 @@ void usage() {
                "            [--fault clean|iid2|bursty|flap|degraded|stress]\n"
                "            [--metrics-out <file.json|file.prom>]\n"
                "            [--rewards] [--badge-store <dir>]\n"
-               "            [--shards N] [--legacy]\n"
+               "            [--shards N]\n"
                "  district <bundle.vgblb> [--classrooms N] [--students M]\n"
                "            [--steps K] [--seed S] [--threads T] [--shards N]\n"
                "            [--stream] [--clients C] [--fault <profile>]\n"
