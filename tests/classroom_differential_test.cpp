@@ -1,7 +1,8 @@
 // Golden classroom gate (DESIGN.md §5i): pins one classroom_fingerprint —
 // per-student results, encoded unlock logs, ranked leaderboard — per
 // checked-in gen-corpus seed, plus the store-backed (suspend/checkpoint/
-// resume) run of the first seed. Every cell of the shard × thread grid
+// resume) run of the first seed and a full-budget class on the §3.2
+// classroom-repair bundle (the district workload's game). Every cell of the shard × thread grid
 // must reproduce the pin bit for bit, so neither the event-queue sharding
 // nor the worker pool can leak into the lecturer-facing summary, and any
 // change to what a simulated student does flips a pin.
@@ -11,7 +12,7 @@
 // over that differential test's gate. Regenerating after an *intentional*
 // behaviour change:
 //   VGBL_GOLDEN_PRINT=1 ./build/tests/classroom_differential_test
-// prints the replacement kGolden table and store-backed pin; paste them
+// prints the replacement kGolden table and the other pins; paste them
 // below and say why in the commit message.
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "core/classroom.hpp"
+#include "core/demo_games.hpp"
 #include "core/platform.hpp"
 #include "gen/generator.hpp"
 
@@ -104,6 +106,10 @@ constexpr GoldenRow kGolden[] = {
 
 // The store-backed run of the first corpus seed.
 constexpr u64 kStoreBackedGolden = 0xd6498c692f42205fULL;
+
+// The §3.2 classroom-repair bundle (DCT q16) under the standard reward
+// rules, an explorer/random class at the district's 400-step budget.
+constexpr u64 kClassroomRepairGolden = 0x2434ed6042dad17dULL;
 
 bool golden_print() { return std::getenv("VGBL_GOLDEN_PRINT") != nullptr; }
 
@@ -189,6 +195,35 @@ TEST(ClassroomGolden, StoreBackedRunMatchesItsPin) {
         << g.shards << " shards, " << g.threads << " threads";
   }
   fs::remove_all(root);
+}
+
+TEST(ClassroomGolden, ClassroomRepairMatchesItsPinOnEveryGridCell) {
+  auto bundle = publish(build_classroom_repair_project().value());
+  ASSERT_TRUE(bundle.ok());
+  auto options_for = [](int shards, int threads) {
+    ClassroomOptions options;
+    options.student_count = 8;
+    options.max_steps_per_student = 400;
+    options.policies = {BotPolicy::kExplorer, BotPolicy::kRandom};
+    options.seed = 1;
+    options.reward_rules = &rewards::RewardRuleSet::standard();
+    options.des_shards = shards;
+    options.worker_threads = threads;
+    return options;
+  };
+
+  if (golden_print()) {
+    std::printf("classroom-repair pin: 0x%016llxULL\n",
+                static_cast<unsigned long long>(classroom_fingerprint(
+                    simulate_classroom(bundle.value(), options_for(1, 0)))));
+    return;
+  }
+  for (const Grid& g : kGrid) {
+    EXPECT_EQ(classroom_fingerprint(simulate_classroom(
+                  bundle.value(), options_for(g.shards, g.threads))),
+              kClassroomRepairGolden)
+        << g.shards << " shards, " << g.threads << " threads";
+  }
 }
 
 }  // namespace
