@@ -58,10 +58,12 @@ class RuleBook {
 
   [[nodiscard]] const EventRule* find(RuleId id) const;
 
- private:
+  /// Evaluates the guard of `rules()[rule_index]` through the book's
+  /// engine (the precompiled condition under kCompiledVm).
   [[nodiscard]] bool guard_passes(size_t rule_index,
                                   const GameStateView& state) const;
 
+ private:
   /// Index key: trigger type ⊕ primary entity. Wildcard rules land in a
   /// type-only bucket checked in addition to the exact bucket.
   static u64 key(TriggerType type, u32 entity) {

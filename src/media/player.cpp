@@ -15,7 +15,11 @@ Status SegmentPlayer::play_segment(SegmentId segment, MicroTime now) {
   if (!seg) {
     return not_found("segment id " + std::to_string(segment.value));
   }
-  pipeline_.start(seg->first_frame, seg->frame_count);
+  // Only record the segment: the decode run starts on the first presented
+  // frame, so a session that never presents one (a simulated student)
+  // never builds one.
+  pipeline_.stop();
+  pipeline_started_ = false;
   active_ = true;
   paused_ = false;
   segment_ = segment;
@@ -66,6 +70,10 @@ std::optional<Frame> SegmentPlayer::current_frame(MicroTime now) {
   if (target == last_index_ && last_frame_) {
     return last_frame_;  // same frame period: no new decode
   }
+  if (!pipeline_started_) {
+    pipeline_.start(segment_first_, segment_count_);
+    pipeline_started_ = true;
+  }
 
   // Pull from the pipeline up to the target index, dropping late frames
   // when configured (the pipeline still decodes them — a GOP decode cannot
@@ -114,6 +122,7 @@ std::vector<i16> SegmentPlayer::audio_window(MicroTime now,
 
 void SegmentPlayer::stop() {
   pipeline_.stop();
+  pipeline_started_ = false;
   active_ = false;
   last_frame_.reset();
 }

@@ -28,7 +28,8 @@ class SegmentPlayer {
                 Options options);
 
   /// Starts playing `segment` from its first frame at time `now`.
-  /// Unknown segment ids fail with kNotFound.
+  /// Unknown segment ids fail with kNotFound. Decoding starts lazily, on
+  /// the first `current_frame` call after this.
   Status play_segment(SegmentId segment, MicroTime now);
 
   /// Restarts the current segment (used by "replay scene" buttons).
@@ -83,6 +84,7 @@ class SegmentPlayer {
   int segment_count_ = 0;
   MicroTime start_time_ = 0;   // presentation time of segment frame 0
   MicroTime pause_time_ = 0;
+  bool pipeline_started_ = false;  // decode run of this segment begun
   int emitted_ = 0;            // frames pulled from the pipeline so far
   std::optional<Frame> last_frame_;
   int last_index_ = -1;

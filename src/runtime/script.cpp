@@ -127,7 +127,8 @@ class ExplorerBot {
       // The explorer "studied": it answers deterministically by prompt
       // hash, which is stable but not always right — like a real student.
       const size_t n = q ? q->options.size() : 1;
-      (void)session_.answer_quiz(std::hash<std::string>{}(q ? q->prompt : "") % n);
+      const size_t h = q ? std::hash<std::string>{}(q->prompt) : 0;
+      (void)session_.answer_quiz(h % n);
       return true;
     }
     if (session_.in_dialogue()) {
@@ -165,7 +166,7 @@ class ExplorerBot {
     //    object once you heard the hint") are retried after state changes.
     if (examine_) {
       for (const auto* o : objects) {
-        if (mark("ex:" + key(o), sig)) {
+        if (mark({Try::kExamine, o->id.value, 0, sig})) {
           (void)session_.examine(canvas_center(o));
           return true;
         }
@@ -174,7 +175,7 @@ class ExplorerBot {
     // 2. Collect collectables.
     for (const auto* o : objects) {
       if ((o->kind == ObjectKind::kItem || o->draggable) &&
-          mark("take:" + key(o), sig)) {
+          mark({Try::kTake, o->id.value, 0, sig})) {
         if (o->draggable) {
           (void)session_.drag(canvas_center(o),
                               session_.ui().layout().inventory_window.center());
@@ -187,7 +188,7 @@ class ExplorerBot {
     // 3. Talk / click non-navigation objects (state-dependent retry).
     for (const auto* o : objects) {
       if (o->kind == ObjectKind::kButton) continue;
-      if (mark("click:" + key(o), sig)) {
+      if (mark({Try::kClick, o->id.value, 0, sig})) {
         (void)session_.click(canvas_center(o));
         return true;
       }
@@ -195,8 +196,7 @@ class ExplorerBot {
     // 4. Use each held item on each object.
     for (const auto& slot : session_.inventory().slots()) {
       for (const auto* o : objects) {
-        if (mark("use:" + std::to_string(slot.item.value) + ":" + key(o),
-                 sig)) {
+        if (mark({Try::kUse, slot.item.value, o->id.value, sig})) {
           (void)session_.use_item_on(slot.item, canvas_center(o));
           return true;
         }
@@ -207,9 +207,7 @@ class ExplorerBot {
     for (size_t i = 0; i < slots.size(); ++i) {
       for (size_t j = i; j < slots.size(); ++j) {
         if (i == j && slots[i].count < 2) continue;
-        const std::string k = "mix:" + std::to_string(slots[i].item.value) +
-                              ":" + std::to_string(slots[j].item.value);
-        if (mark(k, sig)) {
+        if (mark({Try::kMix, slots[i].item.value, slots[j].item.value, sig})) {
           (void)session_.combine_items(slots[i].item, slots[j].item);
           return true;
         }
@@ -236,22 +234,33 @@ class ExplorerBot {
   }
 
  private:
-  static std::string key(const InteractiveObject* o) {
-    return std::to_string(o->id.value);
-  }
+  /// One attempted interaction under one state signature: the action,
+  /// its object or item ids (`b` is 0 where unused) and the signature.
+  struct Try {
+    enum Action : u8 { kExamine, kTake, kClick, kUse, kMix };
+    Action action;
+    u32 a;
+    u32 b;
+    u64 sig;
+    bool operator==(const Try&) const = default;
+  };
+  struct TryHash {
+    size_t operator()(const Try& t) const {
+      u64 h = t.sig ^ (static_cast<u64>(t.action) << 56);
+      h ^= (static_cast<u64>(t.a) << 32 | t.b) * 0x9E3779B97F4A7C15ULL;
+      return static_cast<size_t>(h ^ (h >> 29));
+    }
+  };
 
-  /// Returns true (and records the attempt) when `action` has not been
-  /// tried under state signature `sig` yet.
-  bool mark(const std::string& action, u64 sig) {
-    const std::string k = action + "@" + std::to_string(sig);
-    return tried_.insert(k).second;
-  }
+  /// Returns true (and records the attempt) when `t` has not been tried
+  /// yet.
+  bool mark(const Try& t) { return tried_.insert(t).second; }
 
   GameSession& session_;
   SimClock& clock_;
   Rng rng_;
   bool examine_;
-  std::unordered_set<std::string> tried_;
+  std::unordered_set<Try, TryHash> tried_;
   std::unordered_set<std::string> dialogue_tried_;
   std::unordered_map<u32, int> button_clicks_;
 };

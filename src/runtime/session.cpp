@@ -1,6 +1,7 @@
 #include "runtime/session.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace vgbl {
 
@@ -59,37 +60,53 @@ Point GameSession::to_video(Point canvas) const {
   return {canvas.x - origin.x, canvas.y - origin.y};
 }
 
-bool GameSession::object_effectively_visible(
-    const InteractiveObject& o) const {
+bool GameSession::authored_visible(const InteractiveObject& o) const {
   auto it = visibility_override_.find(o.id.value);
-  const bool authored = it != visibility_override_.end()
-                            ? it->second
-                            : o.placement.visible;
-  return authored && o.placement.active_at(current_frame_index());
+  return it != visibility_override_.end() ? it->second : o.placement.visible;
 }
 
 int GameSession::current_frame_index() const {
   return player_.playing() ? player_.frame_index_at(clock_->now()) : 0;
 }
 
-std::vector<const InteractiveObject*> GameSession::visible_objects() const {
-  std::vector<const InteractiveObject*> out;
+const GameSession::SceneObjects& GameSession::scene_objects() const {
+  if (scene_.generation != 0 && scene_.scenario == current_ &&
+      scene_.epoch == visibility_epoch_) {
+    return scene_;
+  }
+  scene_.scenario = current_;
+  scene_.epoch = visibility_epoch_;
+  ++scene_.generation;
+  scene_.members.clear();
   for (const auto& o : bundle_->objects) {
-    if (o.scenario == current_ && object_effectively_visible(o)) {
-      out.push_back(&o);
+    if (o.scenario == current_ && authored_visible(o)) {
+      scene_.members.push_back(&o);
     }
   }
-  std::stable_sort(out.begin(), out.end(),
+  scene_.by_z = scene_.members;
+  std::stable_sort(scene_.by_z.begin(), scene_.by_z.end(),
                    [](const InteractiveObject* a, const InteractiveObject* b) {
                      return a->placement.z < b->placement.z;
                    });
+  return scene_;
+}
+
+std::vector<const InteractiveObject*> GameSession::visible_objects() const {
+  const SceneObjects& scene = scene_objects();
+  const int frame = current_frame_index();
+  std::vector<const InteractiveObject*> out;
+  out.reserve(scene.by_z.size());
+  for (const InteractiveObject* o : scene.by_z) {
+    if (o->placement.active_at(frame)) out.push_back(o);
+  }
   return out;
 }
 
 void GameSession::rebuild_hit_index() const {
-  const int frame = current_frame_index();
-  if (hit_tester_ && frame == hit_index_frame_ &&
-      hit_index_built_epoch_ == hit_index_epoch_) {
+  const SceneObjects& scene = scene_objects();
+  const i64 frame = current_frame_index();
+  if (hit_tester_ && hit_index_generation_ == scene.generation &&
+      frame >= hit_index_from_ && frame < hit_index_to_) {
     return;
   }
   if (!hit_tester_) {
@@ -100,14 +117,30 @@ void GameSession::rebuild_hit_index() const {
       hit_tester_ = std::make_unique<LinearHitTester>();
     }
   }
+  // The active set only changes where a frame window opens or closes, so
+  // the index stays valid between the nearest window edges around `frame`.
+  i64 from = std::numeric_limits<i64>::min();
+  i64 to = std::numeric_limits<i64>::max();
+  const auto edge = [&](i64 e) {
+    if (e <= frame) {
+      from = std::max(from, e);
+    } else {
+      to = std::min(to, e);
+    }
+  };
   std::vector<HitTarget> targets;
-  for (const auto& o : bundle_->objects) {
-    if (o.scenario != current_ || !object_effectively_visible(o)) continue;
-    targets.push_back({o.id, o.placement.rect, o.placement.z, true});
+  for (const InteractiveObject* o : scene.members) {
+    const Placement& p = o->placement;
+    edge(p.first_frame);
+    if (p.frame_count >= 0) edge(i64{p.first_frame} + p.frame_count);
+    if (p.active_at(static_cast<int>(frame))) {
+      targets.push_back({o->id, p.rect, p.z, true});
+    }
   }
   hit_tester_->rebuild(targets);
-  hit_index_frame_ = frame;
-  hit_index_built_epoch_ = hit_index_epoch_;
+  hit_index_generation_ = scene.generation;
+  hit_index_from_ = from;
+  hit_index_to_ = to;
 }
 
 ObjectId GameSession::object_at(Point canvas_point) const {
@@ -234,7 +267,6 @@ void GameSession::enter_scenario(ScenarioId id) {
   visited_.insert(id.value);
   scenario_entered_at_ = clock_->now();
   segment_end_fired_ = false;
-  hit_index_frame_ = -1;  // force hit index rebuild
   pending_interaction_.reset();
   if (options_.enable_avatar) {
     // The avatar enters each scene at its doorway (bottom-left corner).
@@ -428,12 +460,12 @@ bool GameSession::apply_action(const Action& action, const EventRule* source) {
     }
     case ActionType::kRevealObject:
       visibility_override_[action.object.value] = true;
-      ++hit_index_epoch_;
+      ++visibility_epoch_;
       log("object " + std::to_string(action.object.value) + " revealed");
       break;
     case ActionType::kHideObject:
       visibility_override_[action.object.value] = false;
-      ++hit_index_epoch_;
+      ++visibility_epoch_;
       log("object " + std::to_string(action.object.value) + " hidden");
       break;
     case ActionType::kReplaySegment:
@@ -789,7 +821,8 @@ void GameSession::tick() {
       const InteractiveObject* obj = bundle_->find_object(pending.object);
       // The world may have moved on mid-walk (object hidden, scenario
       // switched by a timer); only interact if it is still valid & near.
-      if (obj && obj->scenario == current_ && object_effectively_visible(*obj) &&
+      if (obj && obj->scenario == current_ && authored_visible(*obj) &&
+          obj->placement.active_at(current_frame_index()) &&
           avatar_.can_reach(obj->placement.rect)) {
         perform_object_interaction(pending.type, pending.object, pending.item);
       } else {
@@ -823,11 +856,9 @@ void GameSession::tick() {
     if (rule->once && disarmed_.count(rule->id.value)) continue;
     StateView view(this);
     if (!trigger_matches(rule->trigger, ev)) continue;
-    if (!(rule_book_.engine() == GuardEngine::kCompiledVm
-              ? CompiledCondition(rule->condition).evaluate(view)
-              : evaluate(rule->condition, view))) {
-      continue;
-    }
+    const auto rule_index =
+        static_cast<size_t>(rule - rule_book_.rules().data());
+    if (!rule_book_.guard_passes(rule_index, view)) continue;
     log("timer rule '" + rule->name + "' fired");
     if (rule->once) disarmed_.insert(rule->id.value);
     for (const Action& action : rule->actions) {
@@ -932,7 +963,7 @@ Status GameSession::load_state(const Json& snapshot) {
     visibility_override_[static_cast<u32>(oj["object"].as_int())] =
         oj["visible"].as_bool();
   }
-  ++hit_index_epoch_;
+  ++visibility_epoch_;
 
   ledger_ = ScoreLedger{};
   const i64 score = snapshot["score"].as_int();
@@ -952,7 +983,6 @@ Status GameSession::load_state(const Json& snapshot) {
   current_ = scenario;
   scenario_entered_at_ = clock_->now();
   segment_end_fired_ = false;
-  hit_index_frame_ = -1;
   if (auto st = player_.play_segment(s->segment, clock_->now()); !st.ok()) {
     return st;
   }
@@ -1137,6 +1167,7 @@ Status GameSession::restore_state(const SessionState& state) {
   for (const auto& v : state.visibility) {
     visibility_override_[v.object] = v.visible;
   }
+  ++visibility_epoch_;
   timers_.clear();
   for (const auto& t : state.timers) {
     timers_.push_back({RuleId{t.rule}, t.fire_at});
@@ -1199,9 +1230,6 @@ Status GameSession::restore_state(const SessionState& state) {
   } else {
     player_.stop();
   }
-
-  hit_index_frame_ = -1;
-  ++hit_index_epoch_;
   return {};
 }
 

@@ -196,8 +196,9 @@ class GameSession {
   void refresh_dialogue_view();
   void rebuild_hit_index() const;
   void log(std::string text);
-  [[nodiscard]] bool object_effectively_visible(
-      const InteractiveObject& o) const;
+  /// Placement visibility after reveal/hide overrides, ignoring the frame
+  /// window.
+  [[nodiscard]] bool authored_visible(const InteractiveObject& o) const;
   [[nodiscard]] Point to_video(Point canvas) const;
 
   std::shared_ptr<const GameBundle> bundle_;
@@ -268,11 +269,30 @@ class GameSession {
   rewards::RewardEvaluator rewards_;
   std::vector<SessionEvent> log_;
 
-  // Hit testing (rebuilt lazily when the frame index or object set moved).
+  /// Bumped by every visibility write (reveal/hide, load_state,
+  /// restore_state); with current_ it keys the scene cache below.
+  u64 visibility_epoch_ = 0;
+
+  /// The current scenario's authored-visible objects, derived once per
+  /// (scenario, visibility epoch) rather than per query; the frame window
+  /// is applied on top by each query.
+  struct SceneObjects {
+    u64 generation = 0;  ///< bumped on every rebuild; 0 = never built
+    ScenarioId scenario;
+    u64 epoch = 0;
+    std::vector<const InteractiveObject*> members;  ///< bundle order
+    std::vector<const InteractiveObject*> by_z;     ///< stable-sorted by z
+  };
+  [[nodiscard]] const SceneObjects& scene_objects() const;
+  mutable SceneObjects scene_;
+
+  // Hit testing over the scene's active members: rebuilt when the scene
+  // cache is rebuilt or the frame index leaves [from, to), the span
+  // between the nearest frame-window edges where the active set is fixed.
   mutable std::unique_ptr<HitTester> hit_tester_;
-  mutable int hit_index_frame_ = -1;
-  mutable u64 hit_index_epoch_ = 0;  // bumped on visibility changes
-  mutable u64 hit_index_built_epoch_ = ~0ULL;
+  mutable u64 hit_index_generation_ = 0;
+  mutable i64 hit_index_from_ = 0;
+  mutable i64 hit_index_to_ = 0;
 };
 
 }  // namespace vgbl

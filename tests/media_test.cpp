@@ -5,6 +5,7 @@
 
 #include "media/pipeline.hpp"
 #include "media/player.hpp"
+#include "obs/metrics.hpp"
 #include "util/sim_clock.hpp"
 #include "video/synthetic.hpp"
 
@@ -243,6 +244,54 @@ TEST(SegmentPlayerTest, SwitchSegmentsCountsSwitches) {
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(*f, oracle[24]);
 }
+
+class LazyPipelineTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(LazyPipelineTest, DecodesOnlyFromTheFirstPresentedFrame) {
+  obs::ScopedEnable on;
+  obs::Counter& gops =
+      obs::MetricsRegistry::global().counter("media_gops_decoded_total");
+  obs::Counter& frames =
+      obs::MetricsRegistry::global().counter("media_frames_decoded_total");
+  auto c = make_container(3, 12, CodecMode::kDct, 5);
+  SegmentPlayer::Options options;
+  options.pipeline.decode_threads = GetParam();
+  options.drop_late_frames = false;
+  SegmentPlayer player(c, options);
+  SimClock clock;
+
+  ASSERT_TRUE(player.play_segment(SegmentId{1}, clock.now()).ok());
+  ASSERT_TRUE(player.current_frame(clock.now()).has_value());
+  // Switching stops the segment-1 run, so no decode of it is in flight.
+  ASSERT_TRUE(player.play_segment(SegmentId{2}, clock.now()).ok());
+  const u64 gops_before = gops.value();
+  const u64 frames_before = frames.value();
+  clock.advance(milliseconds(300));
+  ASSERT_TRUE(player.play_segment(SegmentId{3}, clock.now()).ok());
+  EXPECT_EQ(gops.value(), gops_before);
+  EXPECT_EQ(frames.value(), frames_before);
+  EXPECT_EQ(player.stats().segment_switches, 3u);
+
+  // The lazy start presents exactly the frames a batch decode of the
+  // segment's range yields, one per frame period.
+  ThreadPool pool(2);
+  const auto oracle = decode_range_parallel(*c, 24, 12, pool);
+  ASSERT_TRUE(oracle.ok());
+  const MicroTime start = player.start_time();
+  const MicroTime period = (1'000'000 + c->fps() - 1) / c->fps();
+  for (int i = 0; i < 12; ++i) {
+    clock.advance_to(start + i * period);
+    ASSERT_EQ(player.frame_index_at(clock.now()), i);
+    auto f = player.current_frame(clock.now());
+    ASSERT_TRUE(f.has_value()) << "frame " << i;
+    EXPECT_EQ(*f, oracle.value()[static_cast<size_t>(i)]) << "frame " << i;
+  }
+  EXPECT_GT(frames.value(), frames_before);
+  EXPECT_EQ(player.stats().segment_switches, 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DecodeThreads, LazyPipelineTest,
+                         ::testing::Values(0u, 2u));
 
 TEST(SegmentPlayerTest, LateConsumerDropsFrames) {
   auto c = make_container(1, 24);

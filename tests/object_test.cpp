@@ -240,6 +240,39 @@ TEST(HitTestTest, GridMatchesLinearOnDemoTargets) {
   }
 }
 
+TEST(HitTestTest, GridMatchesLinearUnderEqualZTies) {
+  // Heavily overlapping targets on two z levels, so most hits are decided
+  // by the equal-z rule (later insertion wins). hit_all's first entry is
+  // an independent oracle: it sorts the full hit list instead of picking
+  // in one pass.
+  Rng rng(20260419);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<HitTarget> targets;
+    const int n = static_cast<int>(rng.range(2, 60));
+    for (int i = 0; i < n; ++i) {
+      targets.push_back({ObjectId{static_cast<u32>(i + 1)},
+                         {static_cast<i32>(rng.range(0, 60)),
+                          static_cast<i32>(rng.range(0, 60)),
+                          static_cast<i32>(rng.range(20, 60)),
+                          static_cast<i32>(rng.range(20, 60))},
+                         static_cast<i32>(rng.range(0, 1)),
+                         rng.chance(0.85)});
+    }
+    GridHitTester grid({100, 100});
+    LinearHitTester linear;
+    grid.rebuild(targets);
+    linear.rebuild(targets);
+    for (int q = 0; q < 200; ++q) {
+      const Point p{static_cast<i32>(rng.range(0, 99)),
+                    static_cast<i32>(rng.range(0, 99))};
+      const auto all = linear.hit_all(p);
+      const ObjectId top = all.empty() ? ObjectId{} : all.front();
+      EXPECT_EQ(linear.hit(p), top) << "round " << round << " " << to_string(p);
+      EXPECT_EQ(grid.hit(p), top) << "round " << round << " " << to_string(p);
+    }
+  }
+}
+
 TEST(HitTestTest, GridHandlesOutOfBoundsPoints) {
   GridHitTester grid({100, 100});
   grid.rebuild(demo_targets());

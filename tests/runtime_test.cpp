@@ -3,6 +3,8 @@
 // renderers, and the script runner.
 #include <gtest/gtest.h>
 
+#include "author/editor.hpp"
+#include "author/importer.hpp"
 #include "core/demo_games.hpp"
 #include "core/platform.hpp"
 #include "runtime/compositor.hpp"
@@ -512,6 +514,167 @@ TEST(SessionVisibilityTest, RevealAndHideThroughRules) {
     key_visible |= o->name == "old key";
   }
   EXPECT_TRUE(key_visible);
+}
+
+/// Two 48-frame scenes (plus a terminal one the game never enters).
+/// "bell" sits in "room" only during segment frames [12, 24); the HIDE/SHOW
+/// buttons hide and reveal it through rules, GO and BACK switch between the
+/// two scenes.
+struct WindowedGame {
+  std::shared_ptr<const GameBundle> bundle;
+  ObjectId bell;
+};
+
+WindowedGame windowed_game() {
+  Project project;
+  ClipSpec clip;
+  clip.width = 160;
+  clip.height = 120;
+  clip.fps = 24;
+  clip.scenes.push_back({"room", scene_style("classroom"), 48});
+  clip.scenes.push_back({"yard", scene_style("beach"), 48});
+  clip.scenes.push_back({"exit", scene_style("market"), 24});
+  EXPECT_TRUE(import_clip(project, std::move(clip)).ok());
+  const ScenarioId room = project.graph.find_by_name("room")->id;
+  const ScenarioId yard = project.graph.find_by_name("yard")->id;
+  const ScenarioId exit = project.graph.find_by_name("exit")->id;
+  Editor edit(&project);
+  EXPECT_TRUE(edit.add_transition({room, yard, "go", "", 1.0}).ok());
+  EXPECT_TRUE(edit.add_transition({yard, room, "back", "", 1.0}).ok());
+  EXPECT_TRUE(edit.add_transition({yard, exit, "leave", "", 1.0}).ok());
+  EXPECT_TRUE(edit.set_terminal(exit, true).ok());
+
+  auto place = [&](const std::string& name, ObjectKind kind,
+                   ScenarioId scenario, Rect rect) {
+    InteractiveObject o;
+    o.name = name;
+    o.kind = kind;
+    o.scenario = scenario;
+    o.placement.rect = rect;
+    return edit.place_object(o).value();
+  };
+  auto on_click = [&](ObjectId button, Action action) {
+    EventRule rule;
+    rule.name = "click";
+    rule.trigger.type = TriggerType::kClick;
+    rule.trigger.object = button;
+    rule.actions = {std::move(action)};
+    EXPECT_TRUE(edit.add_rule(rule).ok());
+  };
+
+  InteractiveObject bell;
+  bell.name = "bell";
+  bell.kind = ObjectKind::kImage;
+  bell.scenario = room;
+  bell.placement.rect = {60, 50, 30, 30};
+  bell.placement.first_frame = 12;
+  bell.placement.frame_count = 12;
+  const ObjectId bell_id = edit.place_object(bell).value();
+  on_click(place("HIDE", ObjectKind::kButton, room, {5, 5, 30, 15}),
+           Action::hide_object(bell_id));
+  on_click(place("SHOW", ObjectKind::kButton, room, {40, 5, 30, 15}),
+           Action::reveal_object(bell_id));
+  on_click(place("GO", ObjectKind::kButton, room, {120, 5, 35, 15}),
+           Action::switch_scenario(yard));
+  on_click(place("BACK", ObjectKind::kButton, yard, {120, 5, 35, 15}),
+           Action::switch_scenario(room));
+  auto bundle = publish(project);
+  EXPECT_TRUE(bundle.ok()) << bundle.error().to_string();
+  return {bundle.value(), bell_id};
+}
+
+/// Presentation time of segment frame `frame` for a segment started at
+/// `start` (24 fps).
+MicroTime frame_time(MicroTime start, int frame) {
+  return start + (i64{frame} * 1'000'000 + 23) / 24;
+}
+
+/// Whether `bell` is in visible_objects(), checked against object_at() on
+/// its centre (nothing else covers that point).
+bool bell_shown(const GameSession& session, ObjectId bell) {
+  bool listed = false;
+  for (const auto* o : session.visible_objects()) listed |= o->id == bell;
+  const Point origin = session.ui().layout().video_area.origin();
+  const Point hit{75 + origin.x, 65 + origin.y};
+  EXPECT_EQ(session.object_at(hit).valid(), listed);
+  if (session.object_at(hit).valid()) EXPECT_EQ(session.object_at(hit), bell);
+  return listed;
+}
+
+/// Walks the clock across the bell's window edges of the segment started
+/// at `start` and checks the bell is shown exactly inside [12, 24).
+void expect_window(const GameSession& session, SimClock& clock,
+                   MicroTime start, ObjectId bell, bool shown_inside) {
+  for (int frame : {11, 12, 23, 24, 30}) {
+    clock.advance_to(frame_time(start, frame));
+    ASSERT_EQ(session.current_frame_index(), frame);
+    EXPECT_EQ(bell_shown(session, bell),
+              shown_inside && frame >= 12 && frame < 24)
+        << "frame " << frame;
+  }
+}
+
+TEST(SessionVisibilityTest, WindowedObjectFollowsItsFrameWindow) {
+  const WindowedGame game = windowed_game();
+  SimClock clock;
+  GameSession session(game.bundle, &clock);
+  ASSERT_TRUE(session.start().ok());
+  EXPECT_FALSE(bell_shown(session, game.bell));  // frame 0
+  expect_window(session, clock, 0, game.bell, true);
+
+  // Round trip through the other scene: the segment restarts, and so does
+  // the window.
+  auto reenter = [&] {
+    ASSERT_TRUE(session.click(object_center(session, "GO")).ok());
+    ASSERT_EQ(session.current_scenario_info()->name, "yard");
+    ASSERT_TRUE(session.click(object_center(session, "BACK")).ok());
+    ASSERT_EQ(session.current_scenario_info()->name, "room");
+  };
+  reenter();
+  MicroTime start = clock.now();
+  expect_window(session, clock, start, game.bell, true);
+
+  // Hide and reveal inside the window take effect at once.
+  reenter();
+  start = clock.now();
+  clock.advance_to(frame_time(start, 15));
+  EXPECT_TRUE(bell_shown(session, game.bell));
+  ASSERT_TRUE(session.click(object_center(session, "HIDE")).ok());
+  EXPECT_FALSE(bell_shown(session, game.bell));
+  ASSERT_TRUE(session.click(object_center(session, "SHOW")).ok());
+  EXPECT_TRUE(bell_shown(session, game.bell));
+  clock.advance_to(frame_time(start, 24));
+  EXPECT_FALSE(bell_shown(session, game.bell));
+
+  // Hidden across a scene round trip: never shown.
+  ASSERT_TRUE(session.click(object_center(session, "HIDE")).ok());
+  reenter();
+  start = clock.now();
+  expect_window(session, clock, start, game.bell, false);
+  ASSERT_TRUE(session.click(object_center(session, "SHOW")).ok());
+  reenter();
+  start = clock.now();
+
+  // Capture at frame 5 with the bell revealed, then restore the capture
+  // into a fresh session and into one whose scene cache holds the bell
+  // hidden (same scenario, so only the restore's epoch bump can clear it).
+  clock.advance_to(frame_time(start, 5));
+  const SessionState saved = session.capture_state();
+
+  SimClock fresh_clock;
+  fresh_clock.advance_to(saved.now);
+  GameSession fresh(game.bundle, &fresh_clock);
+  ASSERT_TRUE(fresh.restore_state(saved).ok());
+  expect_window(fresh, fresh_clock, start, game.bell, true);
+
+  SimClock warm_clock;
+  warm_clock.advance_to(saved.now);
+  GameSession warm(game.bundle, &warm_clock);
+  ASSERT_TRUE(warm.start().ok());
+  ASSERT_TRUE(warm.click(object_center(warm, "HIDE")).ok());
+  (void)warm.visible_objects();  // builds the cache without the bell
+  ASSERT_TRUE(warm.restore_state(saved).ok());
+  expect_window(warm, warm_clock, start, game.bell, true);
 }
 
 // --- Analytics ---------------------------------------------------------------------
