@@ -106,7 +106,7 @@ Result<GameBundle> load_bundle(Bytes data) {
   bundle.objects = std::move(p.objects);
   bundle.items = std::move(p.items);
   bundle.combines = std::move(p.combines);
-  bundle.rules = std::move(p.rules);
+  bundle.rules = RuleBook(std::move(p.rules));
   bundle.dialogues = std::move(p.dialogues);
   bundle.quizzes = std::move(p.quizzes);
   bundle.video = std::make_shared<VideoContainer>(std::move(container.value()));

@@ -12,15 +12,16 @@
 
 namespace vgbl {
 
-/// Everything the runtime needs to play a game. Produced by `load_bundle`
-/// (or assembled directly by tests).
+/// Everything the runtime needs to play a game. Produced by `load_bundle`.
 struct GameBundle {
   ProjectMeta meta;
   ScenarioGraph graph;
   std::vector<InteractiveObject> objects;
   ItemCatalog items;
   CombineTable combines;
-  std::vector<EventRule> rules;
+  /// Compiled once by `load_bundle` (guards compiled, dispatch index
+  /// built) and shared read-only by every session playing the bundle.
+  RuleBook rules;
   std::vector<DialogueTree> dialogues;
   std::vector<Quiz> quizzes;
   std::shared_ptr<VideoContainer> video;

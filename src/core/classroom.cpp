@@ -60,12 +60,10 @@ const char* policy_name(BotPolicy p) {
 
 StreamReplaySummary replay_classroom_stream(
     const GameBundle& bundle, const StreamReplayOptions& options) {
-  StreamingConfig config = options.streaming;
-  config.faults = FaultSchedule::profile(options.fault_profile);
-  if (options.fault_profile == "iid2") {
-    config.network.loss_rate = std::max(config.network.loss_rate, 0.02);
-  }
-  StreamServer server(bundle.video.get(), config, options.seed);
+  StreamServer server(bundle.video.get(),
+                      apply_fault_profile(options.streaming,
+                                          options.fault_profile),
+                      options.seed);
   for (int i = 0; i < options.client_count; ++i) {
     // Path derivation reuses the gameplay engine's per-student seed scheme
     // so the delivery cohort walks the same kind of scenario paths.

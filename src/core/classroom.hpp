@@ -4,9 +4,11 @@
 // for the multi-client experiments).
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "author/bundle.hpp"
@@ -213,6 +215,17 @@ inline StreamingConfig StreamReplayOptions::classroom_link_defaults() {
   config.network.jitter = milliseconds(5);
   config.network.loss_rate = 0.002;
   config.prefetch_enabled = true;
+  return config;
+}
+
+/// `config` with the named FaultSchedule profile applied: the one place
+/// that knows "iid2" also raises the iid loss rate to 2%.
+inline StreamingConfig apply_fault_profile(StreamingConfig config,
+                                           std::string_view profile) {
+  config.faults = FaultSchedule::profile(profile);
+  if (profile == "iid2") {
+    config.network.loss_rate = std::max(config.network.loss_rate, 0.02);
+  }
   return config;
 }
 

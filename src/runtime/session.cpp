@@ -29,15 +29,15 @@ GameSession::GameSession(std::shared_ptr<const GameBundle> bundle,
     : bundle_(std::move(bundle)),
       clock_(clock),
       options_(options),
-      rule_book_(bundle_->rules, options.guard_engine),
       player_(bundle_->video,
               SegmentPlayer::Options{
                   {options.decode_threads, 32}, true}),
       ui_(UiLayout::standard(
           {bundle_->video->width(), bundle_->video->height()})),
-      inventory_(&bundle_->items, options.inventory_capacity),
+      inventory_(&bundle_->items),
       avatar_(options.avatar),
-      rewards_(options.reward_rules) {}
+      rewards_(options.reward_rules),
+      hit_tester_(Size{bundle_->video->width(), bundle_->video->height()}) {}
 
 Status GameSession::start() {
   if (started_) return failed_precondition("session already started");
@@ -105,17 +105,9 @@ std::vector<const InteractiveObject*> GameSession::visible_objects() const {
 void GameSession::rebuild_hit_index() const {
   const SceneObjects& scene = scene_objects();
   const i64 frame = current_frame_index();
-  if (hit_tester_ && hit_index_generation_ == scene.generation &&
-      frame >= hit_index_from_ && frame < hit_index_to_) {
+  if (hit_index_generation_ == scene.generation && frame >= hit_index_from_ &&
+      frame < hit_index_to_) {
     return;
-  }
-  if (!hit_tester_) {
-    if (options_.hit_tester == HitTesterKind::kGrid) {
-      hit_tester_ = std::make_unique<GridHitTester>(
-          Size{bundle_->video->width(), bundle_->video->height()});
-    } else {
-      hit_tester_ = std::make_unique<LinearHitTester>();
-    }
   }
   // The active set only changes where a frame window opens or closes, so
   // the index stays valid between the nearest window edges around `frame`.
@@ -137,7 +129,7 @@ void GameSession::rebuild_hit_index() const {
       targets.push_back({o->id, p.rect, p.z, true});
     }
   }
-  hit_tester_->rebuild(targets);
+  hit_tester_.rebuild(targets);
   hit_index_generation_ = scene.generation;
   hit_index_from_ = from;
   hit_index_to_ = to;
@@ -146,7 +138,7 @@ void GameSession::rebuild_hit_index() const {
 ObjectId GameSession::object_at(Point canvas_point) const {
   if (!ui_.layout().video_area.contains(canvas_point)) return {};
   rebuild_hit_index();
-  return hit_tester_->hit(to_video(canvas_point));
+  return hit_tester_.hit(to_video(canvas_point));
 }
 
 std::optional<Frame> GameSession::current_video_frame() {
@@ -297,7 +289,7 @@ void GameSession::enter_scenario(ScenarioId id) {
 
 void GameSession::arm_timers() {
   timers_.clear();
-  for (const EventRule* r : rule_book_.timers_for(current_)) {
+  for (const EventRule* r : bundle_->rules.timers_for(current_)) {
     if (r->once && disarmed_.count(r->id.value)) continue;
     timers_.push_back({r->id, scenario_entered_at_ + r->trigger.delay});
   }
@@ -306,7 +298,7 @@ void GameSession::arm_timers() {
 void GameSession::dispatch(const TriggerEvent& event) {
   if (game_over_) return;
   StateView view(this);
-  const auto fired = rule_book_.match(event, view, disarmed_);
+  const auto fired = bundle_->rules.match(event, view, disarmed_);
   bool scenario_ended = false;
   for (const EventRule* rule : fired) {
     if (scenario_ended) break;
@@ -319,9 +311,7 @@ void GameSession::dispatch(const TriggerEvent& event) {
       }
     }
   }
-  if (!fired.empty() || scenario_ended || !options_.enable_default_behaviours) {
-    return;
-  }
+  if (!fired.empty() || scenario_ended) return;
 
   // Built-in defaults when no designer rule claimed the event.
   const InteractiveObject* obj =
@@ -638,7 +628,7 @@ Status GameSession::combine_items(ItemId a, ItemId b) {
   ev.scenario = current_;
   ev.when = clock_->now();
   StateView view(this);
-  const auto fired = rule_book_.match(ev, view, disarmed_);
+  const auto fired = bundle_->rules.match(ev, view, disarmed_);
   if (!fired.empty()) {
     dispatch(ev);
     drain_rewards();
@@ -851,14 +841,14 @@ void GameSession::tick() {
     ev.when = now;
     // Route through the specific rule: match() would fire all due timer
     // rules at once, which is fine, but we keep per-timer granularity.
-    const EventRule* rule = rule_book_.find(t.rule);
+    const EventRule* rule = bundle_->rules.find(t.rule);
     if (!rule) continue;
     if (rule->once && disarmed_.count(rule->id.value)) continue;
     StateView view(this);
     if (!trigger_matches(rule->trigger, ev)) continue;
     const auto rule_index =
-        static_cast<size_t>(rule - rule_book_.rules().data());
-    if (!rule_book_.guard_passes(rule_index, view)) continue;
+        static_cast<size_t>(rule - bundle_->rules.rules().data());
+    if (!bundle_->rules.guard_passes(rule_index, view)) continue;
     log("timer rule '" + rule->name + "' fired");
     if (rule->once) disarmed_.insert(rule->id.value);
     for (const Action& action : rule->actions) {
@@ -880,115 +870,6 @@ void GameSession::tick() {
     dispatch(ev);
   }
   drain_rewards();
-}
-
-// --- Save games --------------------------------------------------------------------
-
-Json GameSession::save_state() const {
-  Json out = Json::object();
-  auto& o = out.mutable_object();
-  o.set("current_scenario", Json(current_.value));
-  o.set("score", Json(ledger_.total()));
-  o.set("game_over", Json(game_over_));
-  o.set("success", Json(success_));
-  JsonArray inv;
-  for (const auto& slot : inventory_.slots()) {
-    Json sj = Json::object();
-    auto& so = sj.mutable_object();
-    so.set("item", Json(slot.item.value));
-    so.set("count", Json(slot.count));
-    inv.push_back(std::move(sj));
-  }
-  o.set("inventory", Json(std::move(inv)));
-  JsonArray flags;
-  std::vector<std::string> sorted_flags(flags_.begin(), flags_.end());
-  std::sort(sorted_flags.begin(), sorted_flags.end());
-  for (const auto& f : sorted_flags) flags.push_back(Json(f));
-  o.set("flags", Json(std::move(flags)));
-  JsonArray visited;
-  std::vector<u32> sorted_visited(visited_.begin(), visited_.end());
-  std::sort(sorted_visited.begin(), sorted_visited.end());
-  for (u32 v : sorted_visited) visited.push_back(Json(v));
-  o.set("visited", Json(std::move(visited)));
-  JsonArray disarmed;
-  std::vector<u32> sorted_disarmed(disarmed_.begin(), disarmed_.end());
-  std::sort(sorted_disarmed.begin(), sorted_disarmed.end());
-  for (u32 d : sorted_disarmed) disarmed.push_back(Json(d));
-  o.set("disarmed", Json(std::move(disarmed)));
-  JsonArray overrides;
-  std::vector<std::pair<u32, bool>> sorted_overrides(
-      visibility_override_.begin(), visibility_override_.end());
-  std::sort(sorted_overrides.begin(), sorted_overrides.end());
-  for (const auto& [id, vis] : sorted_overrides) {
-    Json oj = Json::object();
-    auto& oo = oj.mutable_object();
-    oo.set("object", Json(id));
-    oo.set("visible", Json(vis));
-    overrides.push_back(std::move(oj));
-  }
-  o.set("visibility", Json(std::move(overrides)));
-  return out;
-}
-
-Status GameSession::load_state(const Json& snapshot) {
-  if (!snapshot.is_object()) return corrupt_data("save state must be an object");
-  const ScenarioId scenario{
-      static_cast<u32>(snapshot["current_scenario"].as_int())};
-  if (!bundle_->graph.find(scenario)) {
-    return corrupt_data("save references missing scenario " +
-                        std::to_string(scenario.value));
-  }
-
-  // Rebuild mutable state from the snapshot.
-  inventory_ = Inventory(&bundle_->items, options_.inventory_capacity);
-  for (const auto& sj : snapshot["inventory"].as_array()) {
-    const ItemId item{static_cast<u32>(sj["item"].as_int())};
-    const int count = static_cast<int>(sj["count"].as_int());
-    if (auto st = inventory_.add(item, count); !st.ok()) return st;
-  }
-  flags_.clear();
-  for (const auto& f : snapshot["flags"].as_array()) {
-    flags_.insert(f.as_string());
-  }
-  visited_.clear();
-  for (const auto& v : snapshot["visited"].as_array()) {
-    visited_.insert(static_cast<u32>(v.as_int()));
-  }
-  disarmed_.clear();
-  for (const auto& d : snapshot["disarmed"].as_array()) {
-    disarmed_.insert(static_cast<u32>(d.as_int()));
-  }
-  visibility_override_.clear();
-  for (const auto& oj : snapshot["visibility"].as_array()) {
-    visibility_override_[static_cast<u32>(oj["object"].as_int())] =
-        oj["visible"].as_bool();
-  }
-  ++visibility_epoch_;
-
-  ledger_ = ScoreLedger{};
-  const i64 score = snapshot["score"].as_int();
-  if (score != 0) ledger_.award(score, "restored save", clock_->now());
-
-  game_over_ = snapshot["game_over"].as_bool(false);
-  success_ = snapshot["success"].as_bool(false);
-  started_ = true;
-  dialogue_.reset();
-  ui_.set_dialogue(std::nullopt);
-
-  // Re-enter the saved scenario without re-firing enter events (the save
-  // was taken mid-scenario; re-firing would duplicate one-shot effects —
-  // but disarmed_ already guards the once-rules, and non-once enter rules
-  // are expected to be idempotent scene dressing; we restart the video).
-  const Scenario* s = bundle_->graph.find(scenario);
-  current_ = scenario;
-  scenario_entered_at_ = clock_->now();
-  segment_end_fired_ = false;
-  if (auto st = player_.play_segment(s->segment, clock_->now()); !st.ok()) {
-    return st;
-  }
-  arm_timers();
-  log("save state restored");
-  return {};
 }
 
 // --- Session persistence -----------------------------------------------------------
@@ -1083,7 +964,7 @@ Status GameSession::restore_state(const SessionState& state) {
 
   // Rebuild all fallible pieces into locals first so a corrupt snapshot
   // rejects without half-mutating the session.
-  Inventory inventory(&bundle_->items, options_.inventory_capacity);
+  Inventory inventory(&bundle_->items);
   for (const auto& slot : state.inventory) {
     if (auto st = inventory.add(ItemId{slot.item}, slot.count); !st.ok()) {
       return corrupt_data("snapshot inventory invalid: " +

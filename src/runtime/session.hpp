@@ -1,8 +1,8 @@
 // GameSession: the interactive VGBL runtime environment (paper §4.3) — an
 // augmented video player. It owns all mutable play state (current scenario,
 // backpack, flags, score, dialogue, UI), turns player gestures into trigger
-// events, dispatches them through the rule book, and applies the resulting
-// actions. Built-in default behaviours keep authoring light:
+// events, dispatches them through the bundle's rule book, and applies the
+// resulting actions. Built-in default behaviours keep authoring light:
 //   - clicking an item object picks it up (grants its item, hides it)
 //   - examining any object shows its description
 //   - clicking an NPC starts its dialogue
@@ -33,18 +33,12 @@
 
 namespace vgbl {
 
-enum class HitTesterKind { kLinear, kGrid };
-
 struct SessionOptions {
-  GuardEngine guard_engine = GuardEngine::kCompiledVm;
-  HitTesterKind hit_tester = HitTesterKind::kGrid;
-  int inventory_capacity = 12;
   /// Decode pool size for the session's playback pipeline. 0 means no
   /// pool at all — frames decode synchronously on the caller's thread
   /// (DecodePipeline::Options::decode_threads); simulation engines use
   /// that so district-scale cohorts don't spawn a thread per session.
   unsigned decode_threads = 1;
-  bool enable_default_behaviours = true;
   /// Avatar mode (paper §4.3): interactions require walking within reach;
   /// clicking empty ground walks the avatar there. Off by default so
   /// pointer-style games behave like Fig.2's direct manipulation.
@@ -129,7 +123,6 @@ class GameSession {
     return pending_interaction_.has_value();
   }
   [[nodiscard]] const LearningTracker& tracker() const { return tracker_; }
-  [[nodiscard]] LearningTracker& tracker_mutable() { return tracker_; }
   /// Reward evaluator (inert unless options().reward_rules was set). The
   /// unlock log it holds is the session's canonical badge stream.
   [[nodiscard]] const rewards::RewardEvaluator& rewards() const {
@@ -145,8 +138,8 @@ class GameSession {
   /// in paint order (ascending z) — what the compositor draws.
   [[nodiscard]] std::vector<const InteractiveObject*> visible_objects() const;
 
-  /// The object a canvas point lands on (through the configured hit
-  /// tester); invalid id when none or when the point is outside the video.
+  /// The object a canvas point lands on (through the grid hit index);
+  /// invalid id when none or when the point is outside the video.
   [[nodiscard]] ObjectId object_at(Point canvas_point) const;
 
   /// Current video frame (decoded through the segment player).
@@ -154,12 +147,6 @@ class GameSession {
 
   /// The video player's frame index within the current segment.
   [[nodiscard]] int current_frame_index() const;
-
-  // --- Save games ------------------------------------------------------------
-  /// Serialises mutable play state (not the bundle).
-  [[nodiscard]] Json save_state() const;
-  /// Restores a save produced by `save_state` against the same bundle.
-  Status load_state(const Json& snapshot);
 
   // --- Session persistence (src/persist) -------------------------------------
   /// Captures the complete mutable state — scenario position, backpack,
@@ -179,7 +166,7 @@ class GameSession {
   class StateView;
 
   /// Dispatches a trigger event: designer rules first, then (if nothing
-  /// fired and defaults are enabled) the built-in behaviour.
+  /// fired) the built-in behaviour.
   void dispatch(const TriggerEvent& event);
   /// Applies one action; returns true if the action ended the scenario
   /// (switch/replay/end) so callers stop applying the remainder.
@@ -205,7 +192,6 @@ class GameSession {
   const Clock* clock_;
   SessionOptions options_;
 
-  RuleBook rule_book_;
   SegmentPlayer player_;
   UiState ui_;
   ResourceCatalog resources_ = ResourceCatalog::with_default_pages();
@@ -269,8 +255,8 @@ class GameSession {
   rewards::RewardEvaluator rewards_;
   std::vector<SessionEvent> log_;
 
-  /// Bumped by every visibility write (reveal/hide, load_state,
-  /// restore_state); with current_ it keys the scene cache below.
+  /// Bumped by every visibility write (reveal/hide, restore_state); with
+  /// current_ it keys the scene cache below.
   u64 visibility_epoch_ = 0;
 
   /// The current scenario's authored-visible objects, derived once per
@@ -289,8 +275,8 @@ class GameSession {
   // Hit testing over the scene's active members: rebuilt when the scene
   // cache is rebuilt or the frame index leaves [from, to), the span
   // between the nearest frame-window edges where the active set is fixed.
-  mutable std::unique_ptr<HitTester> hit_tester_;
-  mutable u64 hit_index_generation_ = 0;
+  mutable GridHitTester hit_tester_;
+  mutable u64 hit_index_generation_ = 0;  ///< 0 = never built
   mutable i64 hit_index_from_ = 0;
   mutable i64 hit_index_to_ = 0;
 };

@@ -57,15 +57,6 @@ struct ClassroomState {
   std::unique_ptr<StreamActor> stream_actor;
 };
 
-StreamingConfig district_stream_config(const DistrictOptions& options) {
-  StreamingConfig config = StreamReplayOptions::classroom_link_defaults();
-  config.faults = FaultSchedule::profile(options.fault_profile);
-  if (options.fault_profile == "iid2") {
-    config.network.loss_rate = std::max(config.network.loss_rate, 0.02);
-  }
-  return config;
-}
-
 }  // namespace
 
 int DistrictSummary::total_students() const {
@@ -126,7 +117,10 @@ Result<DistrictSummary> run_district(std::shared_ptr<const GameBundle> bundle,
 
     if (options.stream) {
       room.stream_server = std::make_unique<StreamServer>(
-          bundle->video.get(), district_stream_config(options), room_seed);
+          bundle->video.get(),
+          apply_fault_profile(StreamReplayOptions::classroom_link_defaults(),
+                              options.fault_profile),
+          room_seed);
       const int clients =
           options.stream_clients > 0 ? options.stream_clients : per_room;
       for (int i = 0; i < clients; ++i) {

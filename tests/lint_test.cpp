@@ -87,7 +87,7 @@ TEST(LintConfig, RepoRulesParse) {
        {"determinism-wallclock", "determinism-random", "determinism-sleep",
         "no-naked-new", "replay-state-unordered", "obs-guarded-metric",
         "include-hygiene", "banned-pattern", "determinism-taint",
-        "lock-order-cycle", "durable-io-in-util"}) {
+        "lock-order-cycle", "durable-io-in-util", "rulebook-per-bundle"}) {
     EXPECT_TRUE(std::count(ids.begin(), ids.end(), expected) == 1)
         << "missing rule " << expected;
   }
@@ -217,6 +217,29 @@ TEST(LintScoping, RawFileIoAllowedInUtil) {
   const std::string source = fixture("raw_file_io_bad.cpp");
   EXPECT_FALSE(fires(lint_file("src/util/record_log.cpp", source, repo_rules()),
                      "durable-io-in-util"));
+}
+
+TEST(LintFixtures, RulebookPerSessionBadFires) {
+  // Every session-side layer: a private RuleBook member.
+  for (const char* path :
+       {"src/runtime/x.cpp", "src/sim/x.cpp", "src/core/x.cpp",
+        "src/persist/x.cpp", "src/rewards/x.cpp"}) {
+    const auto findings = lint_file(
+        path, fixture("rulebook_per_session_bad.cpp"), repo_rules());
+    SCOPED_TRACE(path);
+    expect_only(findings, "rulebook-per-bundle");
+    EXPECT_EQ(findings.size(), 1u);
+  }
+}
+
+TEST(LintScoping, RuleBookAllowedWhereBundlesAreBuilt) {
+  // src/event defines the book and src/author builds the bundle's one copy.
+  const std::string source = fixture("rulebook_per_session_bad.cpp");
+  for (const char* path : {"src/event/x.cpp", "src/author/bundle.cpp"}) {
+    EXPECT_FALSE(fires(lint_file(path, source, repo_rules()),
+                       "rulebook-per-bundle"))
+        << path;
+  }
 }
 
 TEST(LintFixtures, NakedNewBadFires) {

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/classroom.hpp"
@@ -55,11 +56,11 @@ RewardRule make_rule(u32 id, TriggerKind trigger, i64 threshold = 1,
   return rule;
 }
 
-RewardEvent event(RewardEvent::Kind kind, std::string name, MicroTime when,
-                  bool success = false) {
+RewardEvent event(RewardEvent::Kind kind, std::string_view name,
+                  MicroTime when, bool success = false) {
   RewardEvent e;
   e.kind = kind;
-  e.name = std::move(name);
+  e.name = name;
   e.success = success;
   e.when = when;
   return e;

@@ -1,5 +1,5 @@
 // Runtime tests: gestures, UI model, the game session's dispatch/default
-// behaviours/timers/dialogue/save-games, the compositor and the text
+// behaviours/timers/dialogue/restore, the compositor and the text
 // renderers, and the script runner.
 #include <gtest/gtest.h>
 
@@ -165,23 +165,6 @@ TEST(SessionTest, ObjectAtFindsByCanvasPoint) {
           .valid());
 }
 
-TEST(SessionTest, LinearAndGridHitTestersAgreeInSession) {
-  SimClock clock_a, clock_b;
-  SessionOptions grid_opts;
-  grid_opts.hit_tester = HitTesterKind::kGrid;
-  SessionOptions linear_opts;
-  linear_opts.hit_tester = HitTesterKind::kLinear;
-  GameSession grid(quickstart_bundle(), &clock_a, grid_opts);
-  GameSession linear(quickstart_bundle(), &clock_b, linear_opts);
-  (void)grid.start();
-  (void)linear.start();
-  for (i32 y = 0; y < 256; y += 7) {
-    for (i32 x = 0; x < 400; x += 7) {
-      EXPECT_EQ(grid.object_at({x, y}), linear.object_at({x, y}));
-    }
-  }
-}
-
 // --- Default behaviours ----------------------------------------------------------
 
 TEST(SessionDefaultsTest, ClickItemPicksItUp) {
@@ -235,16 +218,6 @@ TEST(SessionDefaultsTest, DragToNowhereDoesNothing) {
   (void)session.start();
   const Point map = object_center(session, "torn map");
   ASSERT_TRUE(session.drag(map, {10, 10}).ok());
-  EXPECT_EQ(session.inventory().total_items(), 0);
-}
-
-TEST(SessionDefaultsTest, DefaultsCanBeDisabled) {
-  SimClock clock;
-  SessionOptions options;
-  options.enable_default_behaviours = false;
-  GameSession session(quickstart_bundle(), &clock, options);
-  (void)session.start();
-  ASSERT_TRUE(session.click(object_center(session, "coin")).ok());
   EXPECT_EQ(session.inventory().total_items(), 0);
 }
 
@@ -434,61 +407,98 @@ TEST(SessionTimerTest, SegmentEndFiresOnce) {
   EXPECT_EQ(session.event_log().size(), log_size);
 }
 
-// --- Save / load -----------------------------------------------------------------
+// --- Restore: typed rejection ------------------------------------------------------
 
-TEST(SessionSaveTest, RoundTripRestoresState) {
+/// A valid mid-game capture and the bundle it was taken against, with the
+/// standard reward rules on so the rewards vectors are populated.
+struct MidGame {
+  std::shared_ptr<const GameBundle> bundle;
+  SessionState state;
+};
+
+SessionOptions with_rewards() {
+  SessionOptions options;
+  options.reward_rules = &rewards::RewardRuleSet::standard();
+  return options;
+}
+
+/// The classroom game with the teacher's conversation open.
+MidGame mid_dialogue() {
   SimClock clock;
-  GameSession session(classroom_bundle(), &clock);
+  GameSession session(classroom_bundle(), &clock, with_rewards());
   (void)session.start();
+  clock.advance(seconds(1));
   (void)session.click(object_center(session, "teacher"));
-  (void)session.choose_dialogue(0);
-  (void)session.advance_dialogue();
-  (void)session.examine(object_center(session, "computer"));
-  (void)session.click(object_center(session, "GO MARKET"));
-  (void)session.click(object_center(session, "psu_box"));
-  const Json save = session.save_state();
-
-  // Fresh session, restore.
-  SimClock clock2;
-  GameSession restored(classroom_bundle(), &clock2);
-  ASSERT_TRUE(restored.load_state(save).ok());
-  EXPECT_EQ(restored.current_scenario_info()->name, "market");
-  EXPECT_TRUE(restored.flag("mission_accepted"));
-  EXPECT_TRUE(restored.flag("found_problem"));
-  const ItemDef* part = restored.bundle().items.find_by_name("psu_part");
-  EXPECT_TRUE(restored.inventory().has(part->id));
-  EXPECT_EQ(restored.score(), session.score());
-
-  // And the restored session can finish the game.
-  (void)restored.click(object_center(restored, "BACK TO CLASS"));
-  ASSERT_TRUE(restored
-                  .use_item_on(part->id, object_center(restored, "computer"))
-                  .ok());
-  EXPECT_TRUE(restored.succeeded());
+  return {classroom_bundle(), session.capture_state()};
 }
 
-TEST(SessionSaveTest, SaveIsStableJson) {
+/// The science quiz after its first answer.
+MidGame mid_quiz() {
+  static const std::shared_ptr<const GameBundle> bundle =
+      publish(build_science_quiz_project().value()).value();
   SimClock clock;
-  GameSession session(classroom_bundle(), &clock);
+  GameSession session(bundle, &clock, with_rewards());
   (void)session.start();
-  const std::string a = session.save_state().dump(-1);
-  const std::string b = session.save_state().dump(-1);
-  EXPECT_EQ(a, b);
-  // Round-trips through text.
-  auto parsed = Json::parse(a);
-  ASSERT_TRUE(parsed.ok());
-  SimClock clock2;
-  GameSession restored(classroom_bundle(), &clock2);
-  EXPECT_TRUE(restored.load_state(parsed.value()).ok());
+  clock.advance(seconds(1));
+  (void)session.click(object_center(session, "TAKE QUIZ"));
+  EXPECT_TRUE(session.answer_quiz(1).ok());
+  return {bundle, session.capture_state()};
 }
 
-TEST(SessionSaveTest, CorruptSaveRejected) {
+/// Restores `state` into a fresh session whose clock reads the time `base`
+/// was captured at.
+Status restore_fresh(const MidGame& base, const SessionState& state) {
   SimClock clock;
-  GameSession session(classroom_bundle(), &clock);
-  EXPECT_FALSE(session.load_state(Json(5)).ok());
-  Json bad = Json::object();
-  bad.mutable_object().set("current_scenario", Json(9999));
-  EXPECT_FALSE(session.load_state(bad).ok());
+  clock.advance(base.state.now);
+  GameSession fresh(base.bundle, &clock, with_rewards());
+  return fresh.restore_state(state);
+}
+
+struct RestoreRejection {
+  const char* field;
+  const MidGame* base;
+  void (*mutate)(SessionState&);
+  ErrorCode expected;
+};
+
+TEST(SessionRestoreTest, InconsistentStateRejectedWithTypedError) {
+  const MidGame dialogue = mid_dialogue();
+  const MidGame quiz = mid_quiz();
+  ASSERT_TRUE(dialogue.state.in_dialogue);
+  ASSERT_TRUE(quiz.state.in_quiz);
+  // The unmutated captures restore.
+  ASSERT_TRUE(restore_fresh(dialogue, dialogue.state).ok());
+  ASSERT_TRUE(restore_fresh(quiz, quiz.state).ok());
+
+  const RestoreRejection rows[] = {
+      {"scenario 9999", &dialogue,
+       [](SessionState& s) { s.scenario = ScenarioId{9999}; },
+       ErrorCode::kCorruptData},
+      {"unknown dialogue id", &dialogue,
+       [](SessionState& s) { s.dialogue_id = 9999; }, ErrorCode::kCorruptData},
+      {"dialogue path that does not replay", &dialogue,
+       [](SessionState& s) { s.dialogue_path.push_back(99); },
+       ErrorCode::kCorruptData},
+      {"quiz answers that finish the quiz", &quiz,
+       [](SessionState& s) { s.quiz_answers = {1, 0, 2}; },
+       ErrorCode::kCorruptData},
+      {"consumed-tag count past the fired tags", &dialogue,
+       [](SessionState& s) { s.dialogue_consumed_tags = 1000; },
+       ErrorCode::kCorruptData},
+      {"rewards vectors of the wrong length", &dialogue,
+       [](SessionState& s) { s.rewards.progress.push_back(0); },
+       ErrorCode::kFailedPrecondition},
+      {"clock not at state.now", &dialogue,
+       [](SessionState& s) { s.now += 1; }, ErrorCode::kFailedPrecondition},
+  };
+  for (const RestoreRejection& row : rows) {
+    SCOPED_TRACE(row.field);
+    SessionState bad = row.base->state;
+    row.mutate(bad);
+    const Status st = restore_fresh(*row.base, bad);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, row.expected) << st.error().to_string();
+  }
 }
 
 // --- Reveal / hide -----------------------------------------------------------------
